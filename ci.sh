@@ -8,7 +8,9 @@
 #      target/analysis.json
 #   2. cargo fmt --check
 #   3. cargo clippy --workspace --all-targets -- -D warnings
-#   4. cargo test --workspace  (twice: obs feature off and on)
+#   4. cargo test --workspace  at RAYON_NUM_THREADS=1, 2 and 4 (one run
+#      each: the rayon shim reads the count once per process), then once
+#      more with the obs feature on
 #   5. the schedule-exploring model checker (crates/modelcheck)
 #   6. loopback serving smoke: afforest serve on an ephemeral port +
 #      afforest loadgen mixed workload, zero errors, graceful shutdown

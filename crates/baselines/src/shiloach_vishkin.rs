@@ -34,8 +34,17 @@ pub fn shiloach_vishkin(g: &CsrGraph) -> Vec<Node> {
 }
 
 /// Runs Shiloach–Vishkin, also reporting iteration/depth statistics.
+///
+/// The hook phase is a CAS race, so under a parallel schedule the
+/// iteration count depends on which hooks win. The instrumented run is
+/// pinned to a one-thread pool, making its counts sequential-equivalent:
+/// the same on every core count. [`shiloach_vishkin`] stays parallel.
 pub fn shiloach_vishkin_with_stats(g: &CsrGraph) -> (Vec<Node>, SvStats) {
-    run(g, true)
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("a one-thread pool")
+        .install(|| run(g, true))
 }
 
 fn run(g: &CsrGraph, collect: bool) -> (Vec<Node>, SvStats) {

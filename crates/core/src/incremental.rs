@@ -9,9 +9,9 @@
 //! connectivity), the "subgraph batch" idea of Section III-B taken to its
 //! streaming limit.
 
-use crate::compress::compress_all;
+use crate::compress::{compress, compress_all};
 use crate::labels::ComponentLabels;
-use crate::link::link;
+use crate::link::{link, link_hook};
 use crate::parents::ParentArray;
 use afforest_graph::{Edge, Node};
 use rayon::prelude::*;
@@ -105,22 +105,73 @@ impl IncrementalCc {
     }
 
     /// Inserts a batch of edges in parallel (each edge linked exactly
-    /// once, any order — Theorem 1).
-    pub fn insert_batch(&mut self, edges: &[Edge]) {
-        edges.par_iter().for_each(|&(u, v)| {
-            link(u, v, &self.pi);
-        });
-        self.bump(edges.len());
+    /// once, any order — Theorem 1) and reports every slot of the parent
+    /// array the batch wrote.
+    ///
+    /// After the parallel link pass, either the every-`n`-edges full
+    /// compress runs, or a sequential [`compress`] of the batch's
+    /// endpoints and hooked roots keeps the trees they touched shallow.
+    /// The second costs O(batch), so a reader-side copy of the forest can
+    /// follow the batch by rewriting only [`BatchDelta::written`] slots.
+    ///
+    /// ```
+    /// use afforest_core::incremental::IncrementalCc;
+    ///
+    /// let mut cc = IncrementalCc::new(4);
+    /// let delta = cc.insert_batch(&[(0, 1), (1, 0), (3, 2)]);
+    /// let mut hooked = delta.hooked.clone();
+    /// hooked.sort();
+    /// assert_eq!(hooked, vec![1, 3]); // one per merge, whatever the order
+    /// assert!(!delta.full_compress);
+    /// ```
+    pub fn insert_batch(&mut self, edges: &[Edge]) -> BatchDelta {
+        let pi = &self.pi;
+        let hooked: Vec<Node> = edges
+            .par_iter()
+            .filter_map(|&(u, v)| link_hook(u, v, pi))
+            .collect();
+        if self.bump(edges.len()) {
+            return BatchDelta {
+                hooked,
+                compressed: Vec::new(),
+                full_compress: true,
+            };
+        }
+        let pi = &self.pi;
+        let compressed = edges
+            .iter()
+            .flat_map(|&(u, v)| [u, v])
+            .chain(hooked.iter().copied())
+            .filter(|&x| {
+                let before = pi.get(x);
+                compress(x, pi);
+                pi.get(x) != before
+            })
+            .collect();
+        BatchDelta {
+            hooked,
+            compressed,
+            full_compress: false,
+        }
     }
 
-    fn bump(&mut self, count: usize) {
+    /// Counts `count` inserted edges toward the full-compress threshold;
+    /// returns whether the full compress ran.
+    fn bump(&mut self, count: usize) -> bool {
         self.dirty += count;
-        if let Some(t) = self.compress_threshold {
-            if self.dirty >= t {
-                compress_all(&self.pi);
-                self.dirty = 0;
+        match self.compress_threshold {
+            Some(t) if self.dirty >= t => {
+                self.compress();
+                true
             }
+            _ => false,
         }
+    }
+
+    /// `π(v)`: `v`'s parent in the current forest (`v` itself for a
+    /// root). Every root is its component's minimum (Invariant 1).
+    pub fn parent(&self, v: Node) -> Node {
+        self.pi.get(v)
     }
 
     /// Whether `u` and `v` are currently connected.
@@ -147,9 +198,8 @@ impl IncrementalCc {
     }
 
     /// The current labeling without consuming the structure (compresses
-    /// first, so the returned labels are fully flattened). This is the
-    /// epoch-snapshot primitive of `afforest-serve`: the caller gets an
-    /// immutable copy while inserts keep flowing into `self`.
+    /// first, so the returned labels are fully flattened): the caller gets
+    /// an immutable O(n) copy while inserts keep flowing into `self`.
     pub fn labels(&mut self) -> ComponentLabels {
         self.compress();
         ComponentLabels::from_vec(self.pi.snapshot())
@@ -158,6 +208,31 @@ impl IncrementalCc {
     /// Extracts the final labeling (compresses first).
     pub fn into_labels(mut self) -> ComponentLabels {
         self.labels()
+    }
+}
+
+/// What one [`IncrementalCc::insert_batch`] wrote into the parent array.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct BatchDelta {
+    /// The roots this batch hooked under another root, one per merge
+    /// (Theorem 1): distinct, each a root before the batch and none a
+    /// root after it. The component count fell by exactly their number.
+    pub hooked: Vec<Node>,
+    /// The slots rewritten by the sequential compress of the batch's
+    /// endpoints and hooked roots, each once (empty after a full
+    /// compress).
+    pub compressed: Vec<Node>,
+    /// Whether the every-`n`-edges full compress ran, after which any
+    /// slot may have changed.
+    pub full_compress: bool,
+}
+
+impl BatchDelta {
+    /// Every slot the batch wrote, unless `full_compress` is set: the
+    /// hooked roots' CAS targets, then the compressed slots (a hooked
+    /// root may appear in both).
+    pub fn written(&self) -> impl Iterator<Item = Node> + '_ {
+        self.hooked.iter().chain(&self.compressed).copied()
     }
 }
 

@@ -66,7 +66,7 @@ pub use crate::afforest::{
 };
 pub use crate::batched::{afforest_batched, BatchedConfig, BatchedStats};
 pub use crate::compress::{compress, compress_all};
-pub use crate::incremental::{IncrementalCc, InvalidParents};
+pub use crate::incremental::{BatchDelta, IncrementalCc, InvalidParents};
 pub use crate::labels::ComponentLabels;
 pub use crate::link::link;
 pub use crate::parents::ParentArray;

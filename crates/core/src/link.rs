@@ -22,7 +22,8 @@ use afforest_graph::Node;
 /// Lock-free; safe to call concurrently from any number of threads for any
 /// set of edges. Returns `true` if this call performed the compare-and-swap
 /// that merged two trees (used by spanning-forest extraction; exactly
-/// `|V| − C` calls over a full pass return `true`).
+/// `|V| − C` calls over a full pass return `true`). A wrapper over
+/// [`link_hook`], which also names the root that was hooked.
 ///
 /// ```
 /// use afforest_core::{link, ParentArray};
@@ -34,6 +35,27 @@ use afforest_graph::Node;
 /// ```
 #[inline]
 pub fn link(u: Node, v: Node, pi: &ParentArray) -> bool {
+    link_hook(u, v, pi).is_some()
+}
+
+/// Links the edge `(u, v)` and reports the root this call's
+/// compare-and-swap hooked, if any.
+///
+/// Each successful CAS merges exactly two trees (Theorem 1), and a hooked
+/// root never becomes a root again, so over any set of calls the reported
+/// roots are distinct, each was a root when its call began, and there is
+/// one per merge. The incremental structure relies on this to patch
+/// component counts and root sizes from a batch's merges alone.
+///
+/// ```
+/// use afforest_core::{link::link_hook, ParentArray};
+///
+/// let pi = ParentArray::new(4);
+/// assert_eq!(link_hook(3, 1, &pi), Some(3)); // root 3 hooked under 1
+/// assert_eq!(link_hook(1, 3, &pi), None);    // already together
+/// ```
+#[inline]
+pub fn link_hook(u: Node, v: Node, pi: &ParentArray) -> Option<Node> {
     afforest_obs::count(afforest_obs::Counter::LinkCalls, 1);
     let mut p1 = pi.get(u);
     let mut p2 = pi.get(v);
@@ -44,12 +66,12 @@ pub fn link(u: Node, v: Node, pi: &ParentArray) -> bool {
         // Already hooked under `low` by a racing thread, or we win the race
         // on a still-root `high` ourselves.
         if p_high == low {
-            return false;
+            return None;
         }
         if p_high == high {
             if pi.compare_and_swap(high, high, low) {
                 afforest_obs::count(afforest_obs::Counter::EdgesLinked, 1);
-                return true;
+                return Some(high);
             }
             afforest_obs::count(afforest_obs::Counter::CasRetries, 1);
         }
@@ -58,7 +80,7 @@ pub fn link(u: Node, v: Node, pi: &ParentArray) -> bool {
         p1 = pi.get(pi.get(high));
         p2 = pi.get(low);
     }
-    false
+    None
 }
 
 /// Instrumented variant: returns `(merged, local_iterations)` where
@@ -123,6 +145,16 @@ mod tests {
         assert_eq!(pi.find_root(4), 1);
         assert_eq!(pi.find_root(5), 1);
         assert!(pi.check_invariant());
+    }
+
+    #[test]
+    fn hook_reports_the_hooked_root() {
+        let pi = ParentArray::new(6);
+        assert_eq!(link_hook(4, 5, &pi), Some(5));
+        assert_eq!(link_hook(2, 1, &pi), Some(2));
+        // Both chains walked: root 4 is hooked under root 1.
+        assert_eq!(link_hook(5, 2, &pi), Some(4));
+        assert_eq!(link_hook(5, 1, &pi), None);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use afforest_core::strategies::{partition, Strategy as PartitionStrategy};
 use afforest_core::{afforest, AfforestConfig, ComponentLabels, IncrementalCc};
 use afforest_graph::{GraphBuilder, Node};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = (usize, Vec<(Node, Node)>)> {
     (2usize..max_n).prop_flat_map(move |n| {
@@ -150,6 +151,53 @@ proptest! {
         cc.insert_batch(&all[..cut]);
         cc.insert_batch(&all[cut..]);
         prop_assert!(cc.into_labels().equivalent(&truth));
+    }
+
+    #[test]
+    fn insert_batch_reports_one_hooked_root_per_merge(
+        (n, edges) in arb_edges(120, 600),
+        cuts in proptest::collection::vec(0usize..=100, 0..6),
+        threshold_pct in 0usize..=150,
+    ) {
+        // Theorem 1's merge accounting, on which the serving snapshots'
+        // component count and root sizes rest: per batch, the reported
+        // hooked roots are distinct, were roots before the batch, and
+        // number exactly the merges a serial union-find sees.
+        let threshold = (threshold_pct > 0).then_some((n * threshold_pct / 100).max(1));
+        let mut cc = IncrementalCc::new(n).with_compress_threshold(threshold);
+        let mut oracle = UnionFindOracle::new(n);
+        let mut bounds: Vec<usize> = cuts.iter().map(|p| edges.len() * p / 100).collect();
+        bounds.extend([0, edges.len()]);
+        bounds.sort_unstable();
+        let mut components = n;
+        let mut merges = 0;
+        for w in bounds.windows(2) {
+            let batch = &edges[w[0]..w[1]];
+            let before = cc.parents_snapshot();
+            let delta = cc.insert_batch(batch);
+            let after = cc.parents_snapshot();
+            let distinct: HashSet<Node> = delta.hooked.iter().copied().collect();
+            prop_assert_eq!(distinct.len(), delta.hooked.len());
+            for &h in &delta.hooked {
+                prop_assert_eq!(before[h as usize], h, "{} was not a root", h);
+                prop_assert!(after[h as usize] != h, "{} is still a root", h);
+            }
+            if !delta.full_compress {
+                // The delta names every slot the batch wrote.
+                let written: HashSet<Node> = delta.written().collect();
+                for v in 0..n as Node {
+                    prop_assert!(before[v as usize] == after[v as usize] || written.contains(&v));
+                }
+            }
+            for &(u, v) in batch {
+                oracle.union(u, v);
+            }
+            let now = (0..n as Node).filter(|&v| oracle.find(v) == v).count();
+            prop_assert_eq!(components - now, delta.hooked.len());
+            components = now;
+            merges += delta.hooked.len();
+        }
+        prop_assert_eq!(merges, n - components);
     }
 
     #[test]

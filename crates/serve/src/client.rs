@@ -412,8 +412,11 @@ impl Client {
         }
     }
 
-    /// Waits until the scoped tenant's ingest queue reports empty (or
-    /// `timeout` elapses) — the client-side analogue of `Server::flush`.
+    /// Waits until the scoped tenant reports every accepted edge
+    /// published (or `timeout` elapses) — the client-side analogue of
+    /// `Server::flush`. `Stats.queue_depth` counts the batch being
+    /// applied too, so a read after `Ok(true)` sees every edge accepted
+    /// before the call.
     pub fn flush(&mut self, timeout: Duration) -> Result<bool, ClientError> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -499,6 +502,48 @@ mod tests {
 
             v1.shutdown().unwrap();
         });
+    }
+
+    #[test]
+    fn flush_waits_for_the_batch_being_applied() {
+        // A one-edge batch, drained at once and then held mid-apply: the
+        // queue is empty long before the edge is visible.
+        let server = Server::new(
+            4,
+            &[],
+            ServeConfig::builder()
+                .policy(BatchPolicy {
+                    max_edges: 1,
+                    max_delay: Duration::from_millis(1),
+                    apply_delay: Some(Duration::from_millis(300)),
+                })
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Shut the server down before asserting, so a failure fails
+        // instead of leaving the scope waiting on `serve_tcp`.
+        let (flushed, visible, stats) = std::thread::scope(|s| {
+            s.spawn(|| server.serve_tcp(listener, 1).expect("serve_tcp"));
+            let mut client = Client::connect(addr).unwrap();
+            let accepted = client.insert_edges(&[(0, 3)]);
+            while accepted.is_ok() && !server.stats().is_applying() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let flushed = client.flush(Duration::from_secs(5));
+            let visible = client.connected(0, 3);
+            let stats = client.stats();
+            server.request_shutdown();
+            (flushed, visible, stats)
+        });
+        assert!(flushed.unwrap());
+        assert!(
+            visible.unwrap(),
+            "flush returned before the edge was visible"
+        );
+        assert_eq!(stats.unwrap().edges_ingested, 1);
     }
 
     #[test]

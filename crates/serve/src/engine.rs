@@ -121,7 +121,8 @@ impl Engine {
             wal = wal.map(|w| w.with_faults(Arc::clone(f)));
         }
         let vertices = cc.len();
-        let initial = Snapshot::new(0, &cc.labels());
+        cc.compress();
+        let initial = Snapshot::new(0, &cc);
         let shared = Arc::new(EngineShared {
             store: SnapshotStore::new(initial),
             ingest: IngestQueue::default(),
@@ -288,7 +289,7 @@ impl Engine {
             num_components: snap.num_components() as u64,
             edges_ingested: ServeStats::get(&self.shared.stats.edges_ingested),
             epochs_published: ServeStats::get(&self.shared.stats.epochs_published),
-            queue_depth: self.shared.ingest.depth() as u64,
+            queue_depth: self.shared.ingest.unpublished() as u64,
             requests_shed: ServeStats::get(&self.shared.stats.requests_shed),
             wal_records: ServeStats::get(&self.shared.stats.wal_records),
             faults_injected: self
@@ -301,11 +302,11 @@ impl Engine {
     }
 
     /// Waits until every queued edge has been applied and published (or
-    /// `timeout` elapses). Returns whether the queue fully drained.
+    /// `timeout` elapses). Returns whether every edge became visible.
     pub fn flush(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            if self.shared.ingest.depth() == 0 && !self.shared.stats.is_applying() {
+            if self.shared.ingest.unpublished() == 0 {
                 return true;
             }
             if Instant::now() >= deadline {
@@ -453,7 +454,8 @@ impl EngineRegistry {
 /// The single writer of one engine: drain → log → link → compress →
 /// publish, one epoch per coalesced batch. The WAL append comes
 /// *before* the apply, so any batch a reader can observe is already
-/// durable (modulo OS buffering; DESIGN.md §11).
+/// durable (modulo OS buffering; DESIGN.md §11). Each epoch is the
+/// previous one patched with what the batch wrote.
 fn writer_loop(
     mut cc: IncrementalCc,
     shared: &EngineShared,
@@ -516,18 +518,22 @@ fn writer_loop(
         let apply_start = Instant::now();
         {
             let _span = afforest_obs::span!("ingest-batch[{epoch}]");
-            {
+            let delta = {
                 let _apply = StageSpan::begin_with(Stage::BatchApply, applied);
-                cc.insert_batch(&batch);
+                let delta = cc.insert_batch(&batch);
                 if let Some(d) = policy.apply_delay {
                     thread::sleep(d);
                 }
                 if let Some(d) = shared.faults.as_deref().and_then(|f| f.on_apply()) {
                     thread::sleep(d);
                 }
-            }
+                delta
+            };
             let _publish = StageSpan::begin_with(Stage::EpochPublish, epoch);
-            shared.store.publish(Snapshot::new(epoch, &cc.labels()));
+            // `prev` outlives the swap, so the replaced epoch's pages are
+            // released here rather than under the store's write lock.
+            let prev = shared.store.load();
+            shared.store.publish(prev.next(epoch, &cc, &delta));
         }
         shared.stats.applying.store(false, Ordering::Relaxed);
         // Lag from the batch's oldest edge arriving to its epoch being
@@ -559,6 +565,9 @@ fn writer_loop(
         afforest_obs::count(afforest_obs::Counter::EdgesIngested, applied);
         afforest_obs::count(afforest_obs::Counter::EpochsPublished, 1);
         afforest_obs::count(afforest_obs::Counter::QueueDepth, applied);
+        // After the counters, so a flush that returns also sees this
+        // batch in `Stats`.
+        shared.ingest.published();
         if let Some(w) = wal.as_mut() {
             if w.maybe_compact(&cc).is_err() {
                 ServeStats::add(&shared.stats.wal_errors, 1);

@@ -5,7 +5,8 @@
 //! cut when either `max_edges` edges are pending or `max_delay` has
 //! elapsed since the oldest pending edge arrived. Everything queued at
 //! drain time rides along, so a burst of small inserts becomes one
-//! `insert_batch` + one compress + one published epoch instead of many.
+//! `insert_batch` + one endpoint compress + one published epoch instead
+//! of many.
 //!
 //! [`ServeStats`] is always-on (plain relaxed atomics, no obs feature
 //! required) because the `Stats` protocol request must answer in every
@@ -113,6 +114,9 @@ struct QueueState {
     oldest: Option<Instant>,
     /// Trace context of the first sampled push since the last drain.
     trace: TraceCtx,
+    /// Edges of the last drained batch until the writer reports it
+    /// published: drained from `edges` but not yet visible to readers.
+    in_flight: usize,
     shutdown: bool,
 }
 
@@ -165,6 +169,22 @@ impl IngestQueue {
             .len()
     }
 
+    /// Edges accepted but not yet published: still queued, or drained
+    /// into the batch the writer is applying. Read under the same lock
+    /// that drains, so it never reads 0 between a drain and its publish.
+    pub fn unpublished(&self) -> usize {
+        let s = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        s.edges.len() + s.in_flight
+    }
+
+    /// The writer has published the last drained batch.
+    pub fn published(&self) {
+        self.state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .in_flight = 0;
+    }
+
     /// Marks the queue shut down; the writer drains what is left and
     /// exits.
     pub fn shutdown(&self) {
@@ -213,6 +233,7 @@ impl IngestQueue {
         // `oldest` is set on every push into an empty queue, so a
         // non-empty drain always has one; the fallback is just defense.
         let oldest = s.oldest.take().unwrap_or_else(Instant::now);
+        s.in_flight = s.edges.len();
         Drained::Batch {
             edges: s.edges.drain(..).collect(),
             oldest,
@@ -303,6 +324,23 @@ mod tests {
         assert_eq!(q.push(&[(0, 1)]), 1);
         assert_eq!(q.push(&[(1, 2), (2, 3)]), 3);
         assert_eq!(q.depth(), 3);
+    }
+
+    #[test]
+    fn drained_edges_stay_unpublished_until_published() {
+        let q = IngestQueue::default();
+        q.push(&[(0, 1), (1, 2)]);
+        assert_eq!(q.unpublished(), 2);
+        let batch = q.next_batch(&policy(1, 0));
+        assert_eq!(edges_of(batch).len(), 2);
+        // Drained but not applied: the queue is empty, the edges are not
+        // yet visible.
+        assert_eq!(q.depth(), 0);
+        assert_eq!(q.unpublished(), 2);
+        q.push(&[(2, 3)]);
+        assert_eq!(q.unpublished(), 3);
+        q.published();
+        assert_eq!(q.unpublished(), 1);
     }
 
     #[test]

@@ -11,8 +11,10 @@
 //!   malformed input is a typed error, never a panic.
 //! - [`tenant`] — validated tenant identifiers.
 //! - [`config`] — the validating [`ServeConfig`] builder.
-//! - [`snapshot`] — immutable fully-compressed label epochs behind an
-//!   `Arc` swap; the read path is two array loads.
+//! - [`snapshot`] — immutable epochs of the parent forest in
+//!   copy-on-write pages behind an `Arc` swap, each patched from the
+//!   previous one in O(batch + n/page); reads walk `find_root` over
+//!   frozen pages.
 //! - [`ingest`] — size/deadline-coalesced insert batches (the ConnectIt
 //!   batch-dynamic pattern) feeding a single writer per tenant.
 //! - `engine` — one engine per tenant (snapshot store, ingest queue,

@@ -209,7 +209,8 @@ pub struct StatsReport {
     pub edges_ingested: u64,
     /// Snapshots published by the writer since startup (excludes epoch 0).
     pub epochs_published: u64,
-    /// Edges currently waiting in the ingest queue.
+    /// Edges accepted but not yet published: waiting in the ingest
+    /// queue or in the batch the writer is applying.
     pub queue_depth: u64,
     /// Insert requests rejected by bounded-queue admission
     /// (`Response::Overloaded`) since startup.

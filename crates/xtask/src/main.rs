@@ -7,8 +7,9 @@
 //!   `crates/analysis`; this binary only loads the workspace, runs the
 //!   battery, prints findings, and optionally writes the JSON report.
 //! - `cargo xtask ci` — the full gate: the analysis battery (JSON report
-//!   to `target/analysis.json`), fmt, clippy (`-D warnings`), the test
-//!   suite both without and with the observability feature (`obs`), the
+//!   to `target/analysis.json`), fmt, clippy (`-D warnings`), the
+//!   workspace test suite at `RAYON_NUM_THREADS` 1, 2 and 4, the test
+//!   suite with the observability feature (`obs`), the
 //!   loopback serving smoke test ([`smoke`], also with obs off and on),
 //!   the crash-recovery smoke test ([`crash`], clean and with chaos
 //!   faults injected), the telemetry scrape smoke ([`metrics`]), the
@@ -93,10 +94,23 @@ fn list_passes() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs one CI step, echoing the command line.
-fn step(root: &Path, name: &str, program: &str, args: &[&str]) -> bool {
-    println!("==> {name}: {program} {}", args.join(" "));
-    let status = Command::new(program).args(args).current_dir(root).status();
+/// One CI step: name, environment, program, arguments.
+type Step = (
+    &'static str,
+    &'static [(&'static str, &'static str)],
+    &'static str,
+    &'static [&'static str],
+);
+
+/// Runs one CI step with `env` set, echoing the command line.
+fn step(root: &Path, name: &str, env: &[(&str, &str)], program: &str, args: &[&str]) -> bool {
+    let shown: Vec<String> = env.iter().map(|(k, v)| format!("{k}={v} ")).collect();
+    println!("==> {name}: {}{program} {}", shown.concat(), args.join(" "));
+    let status = Command::new(program)
+        .args(args)
+        .envs(env.iter().copied())
+        .current_dir(root)
+        .status();
     match status {
         Ok(s) if s.success() => true,
         Ok(s) => {
@@ -112,10 +126,11 @@ fn step(root: &Path, name: &str, program: &str, args: &[&str]) -> bool {
 
 fn run_ci() -> ExitCode {
     let root = workspace_root();
-    let steps: &[(&str, &str, &[&str])] = &[
-        ("format", "cargo", &["fmt", "--all", "--", "--check"]),
+    let steps: &[Step] = &[
+        ("format", &[], "cargo", &["fmt", "--all", "--", "--check"]),
         (
             "clippy",
+            &[],
             "cargo",
             &[
                 "clippy",
@@ -126,12 +141,34 @@ fn run_ci() -> ExitCode {
                 "warnings",
             ],
         ),
-        ("tests", "cargo", &["test", "--workspace", "-q"]),
-        // Second test pass with the observability runtime compiled in:
+        // The workspace suite under three schedules. The rayon shim reads
+        // the thread count once per process, so each count is its own
+        // run, and a result that depends on the schedule gets three
+        // chances to show.
+        (
+            "tests (1 thread)",
+            &[("RAYON_NUM_THREADS", "1")],
+            "cargo",
+            &["test", "--workspace", "-q"],
+        ),
+        (
+            "tests (2 threads)",
+            &[("RAYON_NUM_THREADS", "2")],
+            "cargo",
+            &["test", "--workspace", "-q"],
+        ),
+        (
+            "tests (4 threads)",
+            &[("RAYON_NUM_THREADS", "4")],
+            "cargo",
+            &["test", "--workspace", "-q"],
+        ),
+        // Another test pass with the observability runtime compiled in:
         // the obs-gated tests (trace coverage, span emission) only exist
         // there, and it proves the instrumented build stays green.
         (
             "tests (obs)",
+            &[],
             "cargo",
             &[
                 "test",
@@ -155,6 +192,7 @@ fn run_ci() -> ExitCode {
         ),
         (
             "model check",
+            &[],
             "cargo",
             &["run", "-q", "-p", "afforest-modelcheck"],
         ),
@@ -167,8 +205,8 @@ fn run_ci() -> ExitCode {
     if run_lint(Some(Path::new("target/analysis.json"))) != ExitCode::SUCCESS {
         return ExitCode::FAILURE;
     }
-    for &(name, program, args) in steps {
-        if !step(&root, name, program, args) {
+    for &(name, env, program, args) in steps {
+        if !step(&root, name, env, program, args) {
             return ExitCode::FAILURE;
         }
     }
