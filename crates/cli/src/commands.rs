@@ -413,9 +413,7 @@ pub mod serve {
     use afforest_core::IncrementalCc;
     use afforest_serve::config::DEFAULT_MAX_TENANTS;
     use afforest_serve::wal;
-    use afforest_serve::{
-        events, BatchPolicy, FaultPlan, MetricsHttp, ServeConfig, ServeStats, Server,
-    };
+    use afforest_serve::{events, BatchPolicy, FaultPlan, MetricsHttp, ServeConfig, Server};
     use std::io::Write as _;
     use std::net::TcpListener;
     use std::path::{Path, PathBuf};
@@ -622,11 +620,12 @@ pub mod serve {
             "ingested {} edge(s) over {} published epoch(s)",
             stats.edges_ingested, stats.epochs_published
         );
-        let shed = ServeStats::get(&server.stats().requests_shed);
+        let shed = stats.requests_shed;
         if shed > 0 {
             let _ = writeln!(out, "shed {shed} write request(s) at the admission bound");
         }
-        let wal_errors = ServeStats::get(&server.stats().wal_errors);
+        // A process total: every tenant's WAL, not only `default`'s.
+        let wal_errors = afforest_serve::metrics::metrics().wal_errors.get();
         if wal_errors > 0 {
             let _ = writeln!(out, "warning: {wal_errors} wal append error(s)");
         }
@@ -1410,8 +1409,8 @@ pub mod top {
         let _ = writeln!(
             out,
             "afforest top — {addr}  epoch {}  queue {} edge(s)",
-            v("afforest_epoch"),
-            v("afforest_queue_depth")
+            v("afforest_tenant_epoch{tenant=\"default\"}"),
+            v("afforest_tenant_queue_depth{tenant=\"default\"}")
         );
         let _ = writeln!(
             out,
@@ -2024,12 +2023,17 @@ mod tests {
         let json = std::fs::read_to_string(&trace_path).unwrap();
         std::fs::remove_file(&trace_path).unwrap();
         let trace = afforest_obs::Trace::from_json(&json).unwrap();
-        // The in-process server's writer thread recorded its batches.
-        assert!(trace.counter("edges_ingested") > 0, "{json}");
-        assert!(trace.counter("epochs_published") > 0);
+        // The in-process server's writer thread recorded its batches,
+        // each with the linking work it did.
+        let batches: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.base_name() == "ingest-batch")
+            .collect();
+        assert!(!batches.is_empty(), "no ingest-batch spans recorded");
         assert!(
-            trace.spans.iter().any(|s| s.base_name() == "ingest-batch"),
-            "no ingest-batch spans recorded"
+            batches.iter().map(|s| s.counter("link_calls")).sum::<u64>() > 0,
+            "{json}"
         );
     }
 
@@ -2079,14 +2083,16 @@ mod tests {
     #[test]
     fn top_render_shows_totals_rates_and_percentiles() {
         let first = scrape_of(
-            "# TYPE afforest_epoch gauge\nafforest_epoch 7\n\
-             # TYPE afforest_queue_depth gauge\nafforest_queue_depth 12\n\
+            "# TYPE afforest_tenant_epoch gauge\nafforest_tenant_epoch{tenant=\"default\"} 7\n\
+             # TYPE afforest_tenant_queue_depth gauge\n\
+             afforest_tenant_queue_depth{tenant=\"default\"} 12\n\
              # TYPE afforest_requests_connected_total counter\n\
              afforest_requests_connected_total 100\n",
         );
         let second = scrape_of(
-            "# TYPE afforest_epoch gauge\nafforest_epoch 9\n\
-             # TYPE afforest_queue_depth gauge\nafforest_queue_depth 0\n\
+            "# TYPE afforest_tenant_epoch gauge\nafforest_tenant_epoch{tenant=\"default\"} 9\n\
+             # TYPE afforest_tenant_queue_depth gauge\n\
+             afforest_tenant_queue_depth{tenant=\"default\"} 0\n\
              # TYPE afforest_requests_connected_total counter\n\
              afforest_requests_connected_total 350\n\
              # TYPE afforest_request_latency_connected_ns histogram\n\
@@ -2443,7 +2449,9 @@ mod tests {
             .expect("stats row");
         assert!(stats_row.trim_end().ends_with('-'), "{frame}");
         // No shard gauges → no shard line.
-        let plain = scrape_of("# TYPE afforest_epoch gauge\nafforest_epoch 1\n");
+        let plain = scrape_of(
+            "# TYPE afforest_tenant_epoch gauge\nafforest_tenant_epoch{tenant=\"default\"} 1\n",
+        );
         assert!(!top::render("h:1", None, &plain, None).contains("shards:"));
     }
 

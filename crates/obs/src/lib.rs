@@ -70,7 +70,8 @@ pub const COMPILED: bool = cfg!(feature = "enabled");
 ///
 /// Counter totals are per-session; each closed span also records the
 /// delta observed while it was open (nested spans include their
-/// children's work).
+/// children's work). Only the algorithm's work is counted here: serving
+/// totals are always-on [`registry`] series.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
@@ -88,31 +89,11 @@ pub enum Counter {
     EdgesSkipped,
     /// Vertices whose whole neighbor list was skipped.
     VerticesSkipped,
-    /// Edges applied to the incremental structure by the serving
-    /// write path (`afforest-serve`).
-    EdgesIngested,
-    /// Epoch snapshots published by the serving write path.
-    EpochsPublished,
-    /// Sum of ingest-queue depths sampled when each batch is drained;
-    /// divide by `epochs_published` for the mean depth per batch.
-    QueueDepth,
-    /// Edge-batch records appended to the write-ahead log.
-    WalAppends,
-    /// Bytes written to the write-ahead log (records, not the header).
-    WalBytes,
-    /// WAL recoveries performed (snapshot load + log replay).
-    Recoveries,
-    /// Write requests rejected by the bounded ingest queue's admission
-    /// policy (`Response::Overloaded`).
-    RequestsShed,
-    /// Client-side retries after a shed or timed-out request
-    /// (`afforest-serve` loadgen backoff loop).
-    Retries,
 }
 
 impl Counter {
     /// Number of counters (sizes the recorder's stripe rows).
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 7;
 
     /// Every counter, in declaration (= export) order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -123,14 +104,6 @@ impl Counter {
         Counter::CompressStores,
         Counter::EdgesSkipped,
         Counter::VerticesSkipped,
-        Counter::EdgesIngested,
-        Counter::EpochsPublished,
-        Counter::QueueDepth,
-        Counter::WalAppends,
-        Counter::WalBytes,
-        Counter::Recoveries,
-        Counter::RequestsShed,
-        Counter::Retries,
     ];
 
     /// The snake_case name used in traces and CSV headers.
@@ -143,14 +116,6 @@ impl Counter {
             Counter::CompressStores => "compress_stores",
             Counter::EdgesSkipped => "edges_skipped",
             Counter::VerticesSkipped => "vertices_skipped",
-            Counter::EdgesIngested => "edges_ingested",
-            Counter::EpochsPublished => "epochs_published",
-            Counter::QueueDepth => "queue_depth",
-            Counter::WalAppends => "wal_appends",
-            Counter::WalBytes => "wal_bytes",
-            Counter::Recoveries => "recoveries",
-            Counter::RequestsShed => "requests_shed",
-            Counter::Retries => "retries",
         }
     }
 }
@@ -193,7 +158,7 @@ pub fn count(counter: Counter, n: u64) {
 #[must_use = "a Session records nothing once dropped; call end() to collect the trace"]
 pub struct Session {
     #[cfg(feature = "enabled")]
-    gate: std::sync::MutexGuard<'static, ()>,
+    gate: std::sync::MutexGuard<'static, u64>,
 }
 
 impl Session {
@@ -382,6 +347,22 @@ mod tests {
             let s = Session::begin();
             let trace = s.end();
             assert!(trace.spans.is_empty());
+        }
+
+        #[test]
+        fn span_straddling_two_sessions_records_nothing() {
+            // Regression: the second begin() reset the counters under the
+            // open span, and closing it subtracted past zero.
+            let s = Session::begin();
+            count(Counter::EdgesLinked, 5);
+            let straddler = span!("straddler");
+            let first = s.end();
+            let s = Session::begin();
+            drop(straddler);
+            let second = s.end();
+            for trace in [&first, &second] {
+                assert!(!trace.spans.iter().any(|s| s.name == "straddler"));
+            }
         }
 
         #[test]

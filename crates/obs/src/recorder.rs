@@ -36,14 +36,18 @@ static COUNTS: [[AtomicU64; N]; STRIPES] = {
 };
 
 /// Serializes sessions: only one `Session` can record at a time (the
-/// counters and span list are process-global).
-static GATE: Mutex<()> = Mutex::new(());
+/// counters and span list are process-global). Guards the generation of
+/// the latest session.
+static GATE: Mutex<u64> = Mutex::new(0);
 
 /// Mutable per-session state, behind its own lock so span guards can
 /// reach it without holding the gate.
 static STATE: Mutex<Option<State>> = Mutex::new(None);
 
 struct State {
+    /// Which session this is; a span opened in another one records
+    /// nothing when it closes.
+    generation: u64,
     t0: Instant,
     spans: Vec<SpanRecord>,
     histograms: BTreeMap<String, Histogram>,
@@ -96,10 +100,12 @@ fn reset_counters() {
 
 /// Begins recording; the returned guard must be kept alive for the whole
 /// session and handed back to [`finish`].
-pub(crate) fn begin() -> MutexGuard<'static, ()> {
-    let gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+pub(crate) fn begin() -> MutexGuard<'static, u64> {
+    let mut gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    *gate += 1;
     reset_counters();
     *lock_state() = Some(State {
+        generation: *gate,
         t0: Instant::now(),
         spans: Vec::new(),
         histograms: BTreeMap::new(),
@@ -109,7 +115,7 @@ pub(crate) fn begin() -> MutexGuard<'static, ()> {
 }
 
 /// Stops recording and assembles the [`Trace`].
-pub(crate) fn finish(gate: MutexGuard<'static, ()>) -> Trace {
+pub(crate) fn finish(gate: MutexGuard<'static, u64>) -> Trace {
     ACTIVE.store(false, Ordering::Relaxed);
     let state = lock_state().take();
     drop(gate);
@@ -136,6 +142,7 @@ pub(crate) fn finish(gate: MutexGuard<'static, ()>) -> Trace {
 
 /// An open span; closing (dropping) it appends a [`SpanRecord`].
 pub(crate) struct ActiveSpan {
+    generation: u64,
     name: String,
     depth: u32,
     start: Instant,
@@ -146,9 +153,10 @@ pub(crate) struct ActiveSpan {
 impl ActiveSpan {
     /// Opens a span, if a session is recording.
     pub(crate) fn open(name: String) -> Option<ActiveSpan> {
-        let start_ns = {
+        let (generation, start_ns) = {
             let state = lock_state();
-            state.as_ref()?.t0.elapsed().as_nanos() as u64
+            let state = state.as_ref()?;
+            (state.generation, state.t0.elapsed().as_nanos() as u64)
         };
         let depth = DEPTH.with(|d| {
             let depth = d.get();
@@ -156,6 +164,7 @@ impl ActiveSpan {
             depth
         });
         Some(ActiveSpan {
+            generation,
             name,
             depth,
             start: Instant::now(),
@@ -169,6 +178,12 @@ impl Drop for ActiveSpan {
     fn drop(&mut self) {
         let dur_ns = self.start.elapsed().as_nanos() as u64;
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+        // Held across the counter read: the session cannot end, so the
+        // counters cannot be reset for the next one, until it is released.
+        let mut state = lock_state();
+        let Some(state) = state.as_mut().filter(|s| s.generation == self.generation) else {
+            return;
+        };
         let totals = snapshot();
         // Sorted by name: same round-trip invariant as the session totals.
         let mut counters: Vec<(String, u64)> = Counter::ALL
@@ -179,20 +194,17 @@ impl Drop for ActiveSpan {
             .map(|((c, after), before)| (c.name().to_string(), after - before))
             .collect();
         counters.sort();
-        let mut state = lock_state();
-        if let Some(state) = state.as_mut() {
-            state
-                .histograms
-                .entry(base_of(&self.name).to_string())
-                .or_insert_with(|| Histogram::new(base_of(&self.name)))
-                .record(dur_ns);
-            state.spans.push(SpanRecord {
-                name: std::mem::take(&mut self.name),
-                depth: self.depth,
-                start_ns: self.start_ns,
-                dur_ns,
-                counters,
-            });
-        }
+        state
+            .histograms
+            .entry(base_of(&self.name).to_string())
+            .or_insert_with(|| Histogram::new(base_of(&self.name)))
+            .record(dur_ns);
+        state.spans.push(SpanRecord {
+            name: std::mem::take(&mut self.name),
+            depth: self.depth,
+            start_ns: self.start_ns,
+            dur_ns,
+            counters,
+        });
     }
 }

@@ -250,7 +250,6 @@ impl Client {
                 return Ok(None);
             }
             attempt += 1;
-            afforest_obs::count(afforest_obs::Counter::Retries, 1);
             afforest_obs::registry::counter("afforest_client_retries_total").inc();
             std::thread::sleep(backoff(self.retry.backoff, attempt, &mut self.rng));
         }
@@ -529,7 +528,7 @@ mod tests {
             s.spawn(|| server.serve_tcp(listener, 1).expect("serve_tcp"));
             let mut client = Client::connect(addr).unwrap();
             let accepted = client.insert_edges(&[(0, 3)]);
-            while accepted.is_ok() && !server.stats().is_applying() {
+            while accepted.is_ok() && !server.applying() {
                 std::thread::sleep(Duration::from_millis(1));
             }
             let flushed = client.flush(Duration::from_secs(5));

@@ -22,7 +22,7 @@
 use crate::config::ServeConfig;
 use crate::events::{self, EventKind};
 use crate::faults::FaultPlan;
-use crate::ingest::{BatchPolicy, Drained, IngestQueue, ServeStats};
+use crate::ingest::{BatchPolicy, Drained, IngestQueue};
 use crate::metrics::{metrics, tenant_metrics, TenantMetrics};
 use crate::protocol::{Request, Response, StatsReport};
 use crate::server::ServeError;
@@ -75,20 +75,18 @@ impl Backstop {
 }
 
 /// State shared between one tenant's request handlers and its writer.
+///
+/// Each serving event is written once per scope: `ingest`'s ledger is
+/// the engine scope (`Stats`, `flush`), `tm` the tenant scope
+/// (`tenant="…"` series), and `metrics()` the process scope.
 struct EngineShared {
     store: SnapshotStore,
     ingest: IngestQueue,
-    stats: ServeStats,
     max_queue_depth: usize,
     faults: Option<Arc<FaultPlan>>,
     backstop: Arc<Backstop>,
     tm: TenantMetrics,
     ordinal: u64,
-    /// The default tenant also drives the legacy unlabelled
-    /// `afforest_queue_depth` / `afforest_epoch` gauges, which stay
-    /// meaningful for single-tenant deployments; counters are aggregated
-    /// across tenants instead.
-    is_default: bool,
 }
 
 /// One tenant's connectivity service: an epoch-snapshot store, a
@@ -126,13 +124,11 @@ impl Engine {
         let shared = Arc::new(EngineShared {
             store: SnapshotStore::new(initial),
             ingest: IngestQueue::default(),
-            stats: ServeStats::default(),
             max_queue_depth: config.max_queue_depth,
             faults: config.faults.clone(),
             backstop,
             tm: tenant_metrics(tenant.as_str()),
             ordinal,
-            is_default: tenant.is_default(),
         });
         let writer = {
             let shared = Arc::clone(&shared);
@@ -181,9 +177,9 @@ impl Engine {
         self.shared.store.load()
     }
 
-    /// The tenant's always-on counters.
-    pub(crate) fn stats(&self) -> &ServeStats {
-        &self.shared.stats
+    /// Whether the writer has drained a batch it has not yet published.
+    pub(crate) fn applying(&self) -> bool {
+        self.shared.ingest.ledger().in_flight > 0
     }
 
     /// The tenant's labelled metric handles.
@@ -221,7 +217,6 @@ impl Engine {
             .iter()
             .find(|&&(u, v)| u as usize >= self.vertices || v as usize >= self.vertices)
         {
-            ServeStats::add(&self.shared.stats.protocol_errors, 1);
             metrics().protocol_errors.inc();
             return Response::Err(format!(
                 "edge ({u}, {v}) out of range for {} vertices",
@@ -229,7 +224,7 @@ impl Engine {
             ));
         }
         if !self.shared.backstop.try_reserve(edges.len()) {
-            return self.shed(self.shared.ingest.depth(), edges.len());
+            return self.shed(self.shared.ingest.shed(), edges.len());
         }
         match self
             .shared
@@ -237,14 +232,7 @@ impl Engine {
             .try_push(edges, self.shared.max_queue_depth)
         {
             Ok(depth) => {
-                self.shared
-                    .stats
-                    .queue_depth
-                    .store(depth as u64, Ordering::Relaxed);
                 self.shared.tm.queue_depth.set(depth as u64);
-                if self.shared.is_default {
-                    metrics().queue_depth.set(depth as u64);
-                }
                 Response::Accepted {
                     edges: edges.len() as u32,
                 }
@@ -256,9 +244,8 @@ impl Engine {
         }
     }
 
+    /// Answers an insert the ingest ledger has already counted as shed.
     fn shed(&self, depth: usize, edges: usize) -> Response {
-        ServeStats::add(&self.shared.stats.requests_shed, 1);
-        afforest_obs::count(afforest_obs::Counter::RequestsShed, 1);
         metrics().requests_shed.inc();
         self.shared.tm.requests_shed.inc();
         events::record(
@@ -271,7 +258,6 @@ impl Engine {
     }
 
     fn range_error(&self, v: Node) -> Response {
-        ServeStats::add(&self.shared.stats.protocol_errors, 1);
         metrics().protocol_errors.inc();
         Response::Err(format!(
             "vertex {v} out of range for {} vertices",
@@ -283,15 +269,16 @@ impl Engine {
     /// size (the engine cannot see its siblings).
     pub fn stats_report(&self, tenants: u64) -> StatsReport {
         let snap = self.snapshot();
+        let ledger = self.shared.ingest.ledger();
         StatsReport {
             epoch: snap.epoch,
             vertices: snap.vertices() as u64,
             num_components: snap.num_components() as u64,
-            edges_ingested: ServeStats::get(&self.shared.stats.edges_ingested),
-            epochs_published: ServeStats::get(&self.shared.stats.epochs_published),
-            queue_depth: self.shared.ingest.unpublished() as u64,
-            requests_shed: ServeStats::get(&self.shared.stats.requests_shed),
-            wal_records: ServeStats::get(&self.shared.stats.wal_records),
+            edges_ingested: ledger.applied,
+            epochs_published: ledger.batches,
+            queue_depth: ledger.unpublished(),
+            requests_shed: ledger.shed,
+            wal_records: ledger.wal_records,
             faults_injected: self
                 .shared
                 .faults
@@ -306,7 +293,7 @@ impl Engine {
     pub fn flush(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            if self.shared.ingest.unpublished() == 0 {
+            if self.shared.ingest.ledger().unpublished() == 0 {
                 return true;
             }
             if Instant::now() >= deadline {
@@ -471,13 +458,9 @@ fn writer_loop(
                 trace,
             } => (edges, oldest, trace),
             Drained::Shutdown => {
-                // Shutdown fully drained the queue: the final Stats answer
-                // must say 0, not the depth of the last pre-drain push.
-                shared.stats.queue_depth.store(0, Ordering::Relaxed);
+                // Shutdown fully drained the queue: the final scrape must
+                // say 0, not the depth of the last pre-drain push.
                 shared.tm.queue_depth.set(0);
-                if shared.is_default {
-                    metrics().queue_depth.set(0);
-                }
                 return;
             }
         };
@@ -496,17 +479,15 @@ fn writer_loop(
             reqtrace::now_us().saturating_sub(wait.as_micros() as u64),
             wait.as_nanos() as u64,
         );
+        let mut wal_logged = false;
         if let Some(w) = wal.as_mut() {
             let _wal_span = StageSpan::begin_with(Stage::WalFsync, batch.len() as u64);
             // A failed append does not block the batch: the service stays
             // available and the gap surfaces in wal_errors instead.
             match w.append(&batch) {
-                Ok(crate::wal::AppendOutcome::Logged) => {
-                    ServeStats::add(&shared.stats.wal_records, 1);
-                }
+                Ok(crate::wal::AppendOutcome::Logged) => wal_logged = true,
                 Ok(_) => {} // injected fault: counted at the fault site
                 Err(_) => {
-                    ServeStats::add(&shared.stats.wal_errors, 1);
                     metrics().wal_errors.inc();
                     events::record(EventKind::WalError, [epoch + 1, 0, 0]);
                 }
@@ -514,7 +495,6 @@ fn writer_loop(
         }
         epoch += 1;
         let applied = batch.len() as u64;
-        shared.stats.applying.store(true, Ordering::Relaxed);
         let apply_start = Instant::now();
         {
             let _span = afforest_obs::span!("ingest-batch[{epoch}]");
@@ -535,7 +515,6 @@ fn writer_loop(
             let prev = shared.store.load();
             shared.store.publish(prev.next(epoch, &cc, &delta));
         }
-        shared.stats.applying.store(false, Ordering::Relaxed);
         // Lag from the batch's oldest edge arriving to its epoch being
         // visible: queue wait + WAL append + link/compress + publish.
         let lag = oldest.elapsed();
@@ -547,30 +526,19 @@ fn writer_loop(
             EventKind::EpochPublished,
             [epoch, applied, lag.as_micros() as u64],
         );
+        // One write per scope: process, then tenant, then the engine's
+        // ledger last, so a flush that returns sees this batch in `Stats`
+        // and in a scrape.
         let m = metrics();
         m.epochs_published.inc();
         m.edges_ingested.add(applied);
         m.epoch_publish_lag.record(lag.as_nanos() as u64);
-        let depth = shared.ingest.depth() as u64;
-        if shared.is_default {
-            m.epoch.set(epoch);
-            m.queue_depth.set(depth);
-        }
         shared.tm.epoch.set(epoch);
-        shared.tm.queue_depth.set(depth);
+        shared.tm.queue_depth.set(shared.ingest.ledger().queued);
         shared.tm.edges_ingested.add(applied);
-        ServeStats::add(&shared.stats.edges_ingested, applied);
-        ServeStats::add(&shared.stats.epochs_published, 1);
-        shared.stats.queue_depth.store(depth, Ordering::Relaxed);
-        afforest_obs::count(afforest_obs::Counter::EdgesIngested, applied);
-        afforest_obs::count(afforest_obs::Counter::EpochsPublished, 1);
-        afforest_obs::count(afforest_obs::Counter::QueueDepth, applied);
-        // After the counters, so a flush that returns also sees this
-        // batch in `Stats`.
-        shared.ingest.published();
+        shared.ingest.published(wal_logged);
         if let Some(w) = wal.as_mut() {
             if w.maybe_compact(&cc).is_err() {
-                ServeStats::add(&shared.stats.wal_errors, 1);
                 metrics().wal_errors.inc();
                 events::record(EventKind::WalError, [epoch, 0, 0]);
             }
@@ -671,8 +639,8 @@ mod tests {
             b.handle(&Request::InsertEdges(vec![(0, 1); 4])),
             Response::Accepted { edges: 4 }
         ));
-        assert_eq!(ServeStats::get(&b.stats().requests_shed), 1);
-        assert_eq!(ServeStats::get(&a.stats().requests_shed), 0);
+        assert_eq!(b.stats_report(2).requests_shed, 1);
+        assert_eq!(a.stats_report(2).requests_shed, 0);
 
         // Draining tenant A's queue returns its reservation.
         a.join_writer();

@@ -8,15 +8,14 @@
 //! `insert_batch` + one endpoint compress + one published epoch instead
 //! of many.
 //!
-//! [`ServeStats`] is always-on (plain relaxed atomics, no obs feature
-//! required) because the `Stats` protocol request must answer in every
-//! build; the obs counters (`edges_ingested`, `epochs_published`,
-//! `queue_depth`) additionally flow into traces when obs is compiled in.
+//! The queue's mutex also guards the engine's [`Ledger`]: what `Stats`
+//! and `flush` read. Edges move from queued to in flight to applied in
+//! critical sections of this one lock, so a reader never sees an edge
+//! in none of them, or in two.
 
 use afforest_graph::Node;
 use afforest_obs::reqtrace::{self, TraceCtx};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -43,47 +42,30 @@ impl Default for BatchPolicy {
     }
 }
 
-/// Always-on service counters (independent of the obs feature).
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    /// Edges applied by the writer since startup.
-    pub edges_ingested: AtomicU64,
-    /// Epochs published by the writer since startup (excludes epoch 0).
-    pub epochs_published: AtomicU64,
-    /// Edges currently pending in the ingest queue.
-    pub queue_depth: AtomicU64,
-    /// Malformed frames / unanswerable requests observed.
-    pub protocol_errors: AtomicU64,
-    /// Insert requests shed because the ingest queue was full.
-    pub requests_shed: AtomicU64,
-    /// Batch records fully appended to the WAL (0 when running without
-    /// one). Mirrored here from the writer because the `Stats` request
-    /// handler has no access to the WAL itself.
-    pub wal_records: AtomicU64,
-    /// WAL appends that failed with an I/O error (the batch was still
-    /// applied: availability over durability, DESIGN.md §11).
-    pub wal_errors: AtomicU64,
-    /// Whether the writer is currently mid-apply (between draining a
-    /// batch and publishing its epoch). Observable by tests proving that
-    /// reads proceed while this is set.
-    pub applying: AtomicBool,
+/// One engine's ingest totals since startup, copied out of the queue
+/// under a single lock acquisition ([`IngestQueue::ledger`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Ledger {
+    /// Edges accepted and still queued.
+    pub queued: u64,
+    /// Edges of the batch the writer is applying: drained, not yet
+    /// visible to readers.
+    pub in_flight: u64,
+    /// Edges applied and published.
+    pub applied: u64,
+    /// Batches published, one epoch each (epoch 0 is not a batch).
+    pub batches: u64,
+    /// Published batches whose WAL record was fully appended.
+    pub wal_records: u64,
+    /// Inserts answered `Overloaded`, by the queue bound or the process
+    /// backstop.
+    pub shed: u64,
 }
 
-impl ServeStats {
-    /// Relaxed load of a counter (totals are statistics, not
-    /// synchronization; see DESIGN.md §8).
-    pub fn get(cell: &AtomicU64) -> u64 {
-        cell.load(Ordering::Relaxed)
-    }
-
-    /// Relaxed add.
-    pub fn add(cell: &AtomicU64, n: u64) {
-        cell.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Whether the writer is mid-apply right now.
-    pub fn is_applying(&self) -> bool {
-        self.applying.load(Ordering::Relaxed)
+impl Ledger {
+    /// Edges accepted but not yet published.
+    pub fn unpublished(&self) -> u64 {
+        self.queued + self.in_flight
     }
 }
 
@@ -114,9 +96,8 @@ struct QueueState {
     oldest: Option<Instant>,
     /// Trace context of the first sampled push since the last drain.
     trace: TraceCtx,
-    /// Edges of the last drained batch until the writer reports it
-    /// published: drained from `edges` but not yet visible to readers.
-    in_flight: usize,
+    /// Totals; `queued` is read from `edges` instead.
+    ledger: Ledger,
     shutdown: bool,
 }
 
@@ -141,10 +122,11 @@ impl IngestQueue {
     /// pending (`0` = unbounded). The admission check and the enqueue are
     /// one critical section, so concurrent producers cannot jointly
     /// overshoot the bound. `Ok` carries the depth after the push; `Err`
-    /// carries the (unchanged) depth at rejection time.
+    /// counts a shed and carries the (unchanged) depth at rejection time.
     pub fn try_push(&self, edges: &[(Node, Node)], max_depth: usize) -> Result<usize, usize> {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if max_depth > 0 && s.edges.len().saturating_add(edges.len()) > max_depth {
+            s.ledger.shed += 1;
             return Err(s.edges.len());
         }
         s.edges.extend(edges.iter().copied());
@@ -160,29 +142,33 @@ impl IngestQueue {
         Ok(depth)
     }
 
-    /// Current queue depth.
-    pub fn depth(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .edges
-            .len()
+    /// Counts an insert shed before it reached the queue (the process
+    /// backstop refused it); returns the queue depth to report.
+    pub fn shed(&self) -> usize {
+        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        s.ledger.shed += 1;
+        s.edges.len()
     }
 
-    /// Edges accepted but not yet published: still queued, or drained
-    /// into the batch the writer is applying. Read under the same lock
-    /// that drains, so it never reads 0 between a drain and its publish.
-    pub fn unpublished(&self) -> usize {
+    /// The totals, read under the same lock that drains and publishes,
+    /// so `unpublished()` never reads 0 between a drain and its publish.
+    pub fn ledger(&self) -> Ledger {
         let s = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        s.edges.len() + s.in_flight
+        Ledger {
+            queued: s.edges.len() as u64,
+            ..s.ledger
+        }
     }
 
-    /// The writer has published the last drained batch.
-    pub fn published(&self) {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .in_flight = 0;
+    /// The writer has published the last drained batch: its edges move
+    /// from in flight to applied, and the batch (and its WAL record, when
+    /// `wal_logged`) is counted.
+    pub fn published(&self, wal_logged: bool) {
+        let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let l = &mut s.ledger;
+        l.applied += std::mem::take(&mut l.in_flight);
+        l.batches += 1;
+        l.wal_records += u64::from(wal_logged);
     }
 
     /// Marks the queue shut down; the writer drains what is left and
@@ -233,7 +219,7 @@ impl IngestQueue {
         // `oldest` is set on every push into an empty queue, so a
         // non-empty drain always has one; the fallback is just defense.
         let oldest = s.oldest.take().unwrap_or_else(Instant::now);
-        s.in_flight = s.edges.len();
+        s.ledger.in_flight = s.edges.len() as u64;
         Drained::Batch {
             edges: s.edges.drain(..).collect(),
             oldest,
@@ -270,7 +256,7 @@ mod tests {
         // for the (long) deadline, and coalesces everything.
         let batch = q.next_batch(&policy(2, 60_000));
         assert_eq!(edges_of(batch), vec![(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(q.depth(), 0);
+        assert_eq!(q.ledger().queued, 0);
     }
 
     #[test]
@@ -320,27 +306,71 @@ mod tests {
     #[test]
     fn depth_tracks_pushes() {
         let q = IngestQueue::default();
-        assert_eq!(q.depth(), 0);
+        assert_eq!(q.ledger().queued, 0);
         assert_eq!(q.push(&[(0, 1)]), 1);
         assert_eq!(q.push(&[(1, 2), (2, 3)]), 3);
-        assert_eq!(q.depth(), 3);
+        assert_eq!(q.ledger().queued, 3);
     }
 
     #[test]
     fn drained_edges_stay_unpublished_until_published() {
         let q = IngestQueue::default();
         q.push(&[(0, 1), (1, 2)]);
-        assert_eq!(q.unpublished(), 2);
+        assert_eq!(q.ledger().unpublished(), 2);
         let batch = q.next_batch(&policy(1, 0));
         assert_eq!(edges_of(batch).len(), 2);
         // Drained but not applied: the queue is empty, the edges are not
         // yet visible.
-        assert_eq!(q.depth(), 0);
-        assert_eq!(q.unpublished(), 2);
+        assert_eq!(q.ledger().queued, 0);
+        assert_eq!(q.ledger().unpublished(), 2);
         q.push(&[(2, 3)]);
-        assert_eq!(q.unpublished(), 3);
-        q.published();
-        assert_eq!(q.unpublished(), 1);
+        assert_eq!(q.ledger().unpublished(), 3);
+        q.published(false);
+        assert_eq!(q.ledger().unpublished(), 1);
+    }
+
+    #[test]
+    fn published_moves_in_flight_edges_to_applied_and_counts_the_batch() {
+        let q = IngestQueue::default();
+        q.push(&[(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(edges_of(q.next_batch(&policy(1, 0))).len(), 3);
+        q.push(&[(3, 4)]);
+        let mid = q.ledger();
+        assert_eq!((mid.queued, mid.in_flight, mid.applied), (1, 3, 0));
+        assert_eq!((mid.batches, mid.wal_records), (0, 0));
+        q.published(true);
+        assert_eq!(
+            q.ledger(),
+            Ledger {
+                queued: 1,
+                in_flight: 0,
+                applied: 3,
+                batches: 1,
+                wal_records: 1,
+                shed: 0,
+            }
+        );
+        // A batch whose WAL append was not logged counts no record.
+        assert_eq!(edges_of(q.next_batch(&policy(1, 0))).len(), 1);
+        q.published(false);
+        let l = q.ledger();
+        assert_eq!((l.applied, l.batches, l.wal_records), (4, 2, 1));
+        assert_eq!(l.unpublished(), 0);
+    }
+
+    #[test]
+    fn sheds_are_counted_on_both_rejection_paths() {
+        let q = IngestQueue::default();
+        q.push(&[(0, 1), (1, 2)]);
+        // The queue bound refuses the push.
+        assert_eq!(q.try_push(&[(2, 3)], 2), Err(2));
+        // The backstop refused before the queue was asked.
+        assert_eq!(q.shed(), 2);
+        let l = q.ledger();
+        assert_eq!((l.shed, l.queued), (2, 2));
+        // Admitted pushes count no shed.
+        assert_eq!(q.try_push(&[(2, 3)], 3), Ok(3));
+        assert_eq!(q.ledger().shed, 2);
     }
 
     #[test]
@@ -349,7 +379,7 @@ mod tests {
         assert_eq!(q.try_push(&[(0, 1), (1, 2)], 3), Ok(2));
         // Would land at 4 > 3: rejected, depth unchanged.
         assert_eq!(q.try_push(&[(2, 3), (3, 4)], 3), Err(2));
-        assert_eq!(q.depth(), 2);
+        assert_eq!(q.ledger().queued, 2);
         // Exactly at the bound is admitted.
         assert_eq!(q.try_push(&[(2, 3)], 3), Ok(3));
         assert_eq!(q.try_push(&[(4, 5)], 3), Err(3));

@@ -81,7 +81,7 @@ pub use engine::Engine;
 pub use events::{Dump, DumpEvent, EventKind};
 pub use faults::{ClusterFault, FaultConfig, FaultPlan, InjectedCounts, WalFault};
 pub use http::MetricsHttp;
-pub use ingest::{BatchPolicy, ServeStats};
+pub use ingest::BatchPolicy;
 pub use loadgen::{LoadgenConfig, LoadgenReport, Transport};
 pub use protocol::{FrameError, Request, Response, StatsReport, WireError, WireVersion};
 pub use server::{ServeError, Server};

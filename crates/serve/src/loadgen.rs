@@ -485,7 +485,6 @@ fn call_with_retry<T: Transport>(
         }
         attempt += 1;
         tally.retries += 1;
-        afforest_obs::count(afforest_obs::Counter::Retries, 1);
         afforest_obs::registry::counter("afforest_client_retries_total").inc();
         std::thread::sleep(backoff(cfg.retry_backoff, attempt, rng));
     }
@@ -573,10 +572,7 @@ mod tests {
         assert_eq!(writes.reads, 0);
         assert_eq!(writes.writes, 50);
         assert!(server.flush(Duration::from_secs(10)));
-        assert_eq!(
-            crate::ingest::ServeStats::get(&server.stats().edges_ingested),
-            50 * 4
-        );
+        assert_eq!(server.stats_report().edges_ingested, 50 * 4);
     }
 
     #[test]

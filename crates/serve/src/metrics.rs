@@ -7,6 +7,11 @@
 //! tracer (`--features obs`) remains a separate, scoped layer; these
 //! metrics are *service* telemetry and are always live (DESIGN.md §12).
 //!
+//! Unlabelled series are the process scope and `tenant="…"` series the
+//! tenant scope. Both are keyed by name, so a re-created tenant (or a
+//! second `Server` in one process) continues its predecessor's series;
+//! what one engine has done is its [`crate::ingest::Ledger`] instead.
+//!
 //! Every metric name is a string literal in this file (plus the
 //! client-side retry counter in `loadgen.rs`); `cargo xtask lint`
 //! cross-checks that each literal appears in the exposition test
@@ -70,10 +75,6 @@ pub struct ServeMetrics {
     pub protocol_errors: &'static Counter,
     /// Inserts shed by bounded-queue admission.
     pub requests_shed: &'static Counter,
-    /// Edges pending in the ingest queue right now.
-    pub queue_depth: &'static Gauge,
-    /// Epoch of the currently served snapshot.
-    pub epoch: &'static Gauge,
     /// Epochs published by the writer (excludes epoch 0).
     pub epochs_published: &'static Counter,
     /// Edges applied by the writer.
@@ -178,8 +179,6 @@ pub fn metrics() -> &'static ServeMetrics {
         connections: registry::counter("afforest_connections_total"),
         protocol_errors: registry::counter("afforest_protocol_errors_total"),
         requests_shed: registry::counter("afforest_requests_shed_total"),
-        queue_depth: registry::gauge("afforest_queue_depth"),
-        epoch: registry::gauge("afforest_epoch"),
         epochs_published: registry::counter("afforest_epochs_published_total"),
         edges_ingested: registry::counter("afforest_edges_ingested_total"),
         epoch_publish_lag: registry::histogram("afforest_epoch_publish_lag_ns"),

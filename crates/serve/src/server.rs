@@ -21,7 +21,6 @@
 use crate::config::ServeConfig;
 use crate::engine::{AdmitError, Backstop, Engine, EngineRegistry};
 use crate::events::{self, EventKind};
-use crate::ingest::ServeStats;
 use crate::metrics::{metrics, op_index};
 use crate::protocol::{
     decode_request_traced, encode_response, encode_response_v2, read_frame, write_frame,
@@ -228,11 +227,11 @@ impl Server {
         self.default.snapshot()
     }
 
-    /// The `default` tenant's always-on counters. Transport-level
-    /// protocol errors (unframeable bytes, undecodable payloads,
-    /// unknown tenants) are accounted here too.
-    pub fn stats(&self) -> &ServeStats {
-        self.default.stats()
+    /// Whether the `default` tenant's writer has drained a batch it has
+    /// not yet published (the window in which reads still answer from
+    /// the previous epoch).
+    pub fn applying(&self) -> bool {
+        self.default.applying()
     }
 
     /// Registered tenant names, sorted.
@@ -312,7 +311,6 @@ impl Server {
     }
 
     fn unknown_tenant(&self, tenant: &TenantId) -> Response {
-        ServeStats::add(&self.default.stats().protocol_errors, 1);
         metrics().protocol_errors.inc();
         Response::Err(format!("no such tenant '{tenant}'"))
     }
@@ -377,7 +375,6 @@ impl Server {
         }
         match self.registry.remove(name) {
             None => {
-                ServeStats::add(&self.default.stats().protocol_errors, 1);
                 metrics().protocol_errors.inc();
                 Response::Err(format!("no such tenant '{name}'"))
             }
@@ -498,7 +495,6 @@ impl Server {
                 // Unframeable bytes: report, then drop the connection (a
                 // bad length prefix means the stream is desynchronized).
                 Err(WireError::Frame(e)) => {
-                    ServeStats::add(&self.default.stats().protocol_errors, 1);
                     metrics().protocol_errors.inc();
                     let _ = write_frame(&mut stream, &encode_response(&frame_err(&e)));
                     return;
@@ -532,7 +528,6 @@ impl Server {
                     (encoded, done)
                 }
                 Err(e) => {
-                    ServeStats::add(&self.default.stats().protocol_errors, 1);
                     metrics().protocol_errors.inc();
                     (encode_response(&frame_err(&e)), false)
                 }
@@ -673,12 +668,15 @@ mod tests {
         );
         let snap = server.snapshot();
         assert!(snap.epoch >= 1);
-        assert_eq!(ServeStats::get(&server.stats().edges_ingested), 3);
+        assert_eq!(server.stats_report().edges_ingested, 3);
     }
 
     #[test]
     fn out_of_range_requests_get_err_not_panic() {
         let server = path_server(5);
+        // Protocol errors are a process fact: other tests in this binary
+        // add to the same counter, so only a lower bound holds.
+        let errors_before = metrics().protocol_errors.get();
         for req in [
             Request::Connected(0, 5),
             Request::Connected(9, 9),
@@ -691,10 +689,10 @@ mod tests {
                 other => panic!("{req:?} answered {other:?}"),
             }
         }
-        assert_eq!(ServeStats::get(&server.stats().protocol_errors), 5);
+        assert!(metrics().protocol_errors.get() >= errors_before + 5);
         // Rejected insert must not have queued anything.
         assert!(server.flush(Duration::from_secs(1)));
-        assert_eq!(ServeStats::get(&server.stats().edges_ingested), 0);
+        assert_eq!(server.stats_report().edges_ingested, 0);
     }
 
     #[test]
@@ -714,6 +712,25 @@ mod tests {
             }
             other => panic!("expected stats, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn two_default_tenants_in_one_process_keep_their_own_stats() {
+        // Both servers' engines are tenant `default`, so they share every
+        // registry series; `Stats` must still answer per engine.
+        let a = Server::new(8, &[], quick_config()).unwrap();
+        let b = Server::new(8, &[], quick_config()).unwrap();
+        a.handle(&Request::InsertEdges(vec![(0, 1), (1, 2), (2, 3)]));
+        b.handle(&Request::InsertEdges(vec![(4, 5)]));
+        assert!(a.flush(Duration::from_secs(5)));
+        assert!(b.flush(Duration::from_secs(5)));
+        let (sa, sb) = (a.stats_report(), b.stats_report());
+        assert_eq!((sa.edges_ingested, sa.epochs_published), (3, 1));
+        assert_eq!((sb.edges_ingested, sb.epochs_published), (1, 1));
+        assert_eq!((sa.num_components, sb.num_components), (5, 7));
+        // The shared tenant series holds both engines' edges.
+        let series = crate::metrics::tenant_metrics("default").edges_ingested;
+        assert!(series.get() >= 4);
     }
 
     #[test]
@@ -743,13 +760,13 @@ mod tests {
             server.handle(&Request::InsertEdges(vec![(v - 1, v)]));
         }
         assert!(server.flush(Duration::from_secs(10)));
-        let published = ServeStats::get(&server.stats().epochs_published);
+        let published = server.stats_report().epochs_published;
         assert!(published >= 1);
         // 999 single-edge inserts must not mean 999 epochs: coalescing is
         // what makes the write path batched. The writer keeps up with the
         // producer, so well under half the inserts get their own epoch.
         assert!(published < 500, "no coalescing: {published} epochs");
-        assert_eq!(ServeStats::get(&server.stats().edges_ingested), 999);
+        assert_eq!(server.stats_report().edges_ingested, 999);
         assert_eq!(
             server.handle(&Request::NumComponents),
             Response::NumComponents(1)
@@ -789,9 +806,9 @@ mod tests {
         server.handle(&Request::InsertEdges(vec![(0, 1), (1, 2)]));
         // The push recorded a nonzero depth; the shutdown drain applies
         // the edges, so the final answer must say the queue is empty.
-        assert_eq!(ServeStats::get(&server.stats().queue_depth), 2);
+        assert_eq!(server.stats_report().queue_depth, 2);
         server.join_writer();
-        assert_eq!(ServeStats::get(&server.stats().queue_depth), 0);
+        assert_eq!(server.stats_report().queue_depth, 0);
         match server.handle(&Request::Stats) {
             Response::Stats(s) => assert_eq!(s.queue_depth, 0),
             other => panic!("expected stats, got {other:?}"),
@@ -824,7 +841,7 @@ mod tests {
             server.handle(&Request::InsertEdges(vec![(5, 6)])),
             Response::Accepted { edges: 1 }
         );
-        assert_eq!(ServeStats::get(&server.stats().requests_shed), 1);
+        assert_eq!(server.stats_report().requests_shed, 1);
         // Reads keep answering while the write path sheds.
         assert_eq!(
             server.handle(&Request::Connected(0, 1)),

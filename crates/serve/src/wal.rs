@@ -235,8 +235,6 @@ impl Wal {
                 self.file.flush()?;
                 self.batches_logged += 1;
                 self.bytes_logged += record.len() as u64;
-                afforest_obs::count(afforest_obs::Counter::WalAppends, 1);
-                afforest_obs::count(afforest_obs::Counter::WalBytes, record.len() as u64);
                 let m = crate::metrics::metrics();
                 m.wal_records.inc();
                 m.wal_bytes.add(record.len() as u64);
@@ -390,7 +388,6 @@ pub fn recover(dir: &Path, seed_edges: &[(Node, Node)]) -> Result<Recovery, WalE
         // boundary (a torn record would otherwise poison future appends).
         file.set_len(good_end)?;
     }
-    afforest_obs::count(afforest_obs::Counter::Recoveries, 1);
     Ok(Recovery {
         cc,
         vertices: n,

@@ -9,7 +9,7 @@
 use afforest_obs::{flight, registry};
 use afforest_serve::events::{self, fault_site};
 use afforest_serve::loadgen::{run, LoadgenConfig};
-use afforest_serve::{BatchPolicy, Client, FaultPlan, ServeConfig, Server};
+use afforest_serve::{BatchPolicy, Client, FaultPlan, Request, Response, ServeConfig, Server};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -49,6 +49,24 @@ fn every_injected_fault_is_visible_in_metrics_and_flight_dump() {
         .build()
         .expect("valid config");
     let server = Server::new(n, &seed_edges, config).expect("start server");
+
+    // With no accept worker running yet, every fault draw is the
+    // writer's, in order: one WAL append and one apply per single-edge
+    // batch. What these batches inject is a fixed function of seed=33.
+    for v in 100..120u32 {
+        assert_eq!(
+            server.handle(&Request::InsertEdges(vec![(v, v + 1)])),
+            Response::Accepted { edges: 1 }
+        );
+        assert!(server.flush(Duration::from_secs(10)));
+    }
+    let sequential = faults.injected();
+    assert!(sequential.wal_drops > 0, "no wal drops: {sequential:?}");
+    assert!(
+        sequential.apply_delays > 0,
+        "no apply delays: {sequential:?}"
+    );
+
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
 
@@ -74,8 +92,6 @@ fn every_injected_fault_is_visible_in_metrics_and_flight_dump() {
 
     let injected = faults.injected();
     // The run must have actually fired the sites we assert on.
-    assert!(injected.wal_drops > 0, "no wal drops: {injected:?}");
-    assert!(injected.apply_delays > 0, "no apply delays: {injected:?}");
     assert!(injected.torn_frames > 0, "no torn frames: {injected:?}");
 
     // 1) Every site's count is in the exposition, exactly.

@@ -60,8 +60,11 @@ fn live_server_exposes_request_and_epoch_metrics() {
         );
         assert_eq!(scrape.value("afforest_edges_ingested_total"), Some(1));
         assert!(scrape.value("afforest_epochs_published_total") >= Some(1));
-        assert!(scrape.value("afforest_epoch") >= Some(1));
-        assert_eq!(scrape.value("afforest_queue_depth"), Some(0));
+        assert!(scrape.value("afforest_tenant_epoch{tenant=\"default\"}") >= Some(1));
+        assert_eq!(
+            scrape.value("afforest_tenant_queue_depth{tenant=\"default\"}"),
+            Some(0)
+        );
         assert!(scrape.value("afforest_connections_total") >= Some(1));
         assert!(scrape.value("afforest_bytes_read_total") > Some(0));
         assert!(scrape.value("afforest_bytes_written_total") > Some(0));

@@ -18,6 +18,7 @@
 use crate::shard_smoke::{respawn_worker, spawn_worker, wait_exit, WorkerOut};
 use crate::smoke::{cli_cmd, connect, shutdown_and_reap, Reaper};
 use afforest_core::IncrementalCc;
+use afforest_obs::registry::{parse_exposition, Scrape};
 use afforest_serve::events::{self, EventKind};
 use afforest_serve::http::http_get;
 use afforest_serve::{ClusterFault, FaultPlan, RetryPolicy, TenantId};
@@ -93,25 +94,25 @@ fn signal(pid: u32, sig: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The value of one exposition series (exact name + label match).
-fn series_value(scrape: &str, series: &str) -> Option<u64> {
-    scrape.lines().find_map(|l| {
-        l.strip_prefix(series)
-            .and_then(|rest| rest.trim().parse::<u64>().ok())
-    })
+/// One `GET /metrics`, parsed; `None` unless it answered 200.
+fn scrape(scrape_addr: &str) -> Result<Option<Scrape>, String> {
+    let (status, body) = http_get(scrape_addr, "/metrics")?;
+    if status != 200 {
+        return Ok(None);
+    }
+    parse_exposition(&body).map(Some)
 }
 
 /// Polls the scrape until `pred` holds on it, or fails after 30 s.
 fn await_scrape(
     scrape_addr: &str,
     what: &str,
-    pred: impl Fn(&str) -> bool,
-) -> Result<String, String> {
+    pred: impl Fn(&Scrape) -> bool,
+) -> Result<(), String> {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let (status, scrape) = http_get(scrape_addr, "/metrics")?;
-        if status == 200 && pred(&scrape) {
-            return Ok(scrape);
+        if scrape(scrape_addr)?.is_some_and(|s| pred(&s)) {
+            return Ok(());
         }
         if Instant::now() > deadline {
             return Err(format!("scrape never showed {what}"));
@@ -286,8 +287,7 @@ fn chaos(root: &Path) -> Result<(), String> {
         ));
     }
     await_scrape(&scrape_addr, "every shard Healthy", |s| {
-        (0..SHARDS)
-            .all(|k| series_value(s, &format!("afforest_shard_health{{shard=\"{k}\"}}")) == Some(0))
+        (0..SHARDS).all(|k| s.value(&format!("afforest_shard_health{{shard=\"{k}\"}}")) == Some(0))
     })?;
 
     // 3. The deterministic kill drill: SIGKILL worker 1 mid-stream, then
@@ -328,9 +328,10 @@ fn chaos(root: &Path) -> Result<(), String> {
     // The live telemetry plane shows the whole failure domain: breaker
     // open (2 = Down), a parked backlog, and degraded reads served.
     await_scrape(&scrape_addr, "shard 1 Down with a parked backlog", |s| {
-        series_value(s, "afforest_shard_health{shard=\"1\"}") == Some(2)
-            && series_value(s, "afforest_parked_batches{shard=\"1\"}").is_some_and(|v| v > 0)
-            && series_value(s, "afforest_degraded_reads").is_some_and(|v| v > 0)
+        s.value("afforest_shard_health{shard=\"1\"}") == Some(2)
+            && s.value("afforest_parked_batches{shard=\"1\"}")
+                .is_some_and(|v| v > 0)
+            && s.value("afforest_degraded_reads").is_some_and(|v| v > 0)
     })?;
 
     // 4. Recovery: restart worker 1 from its WAL on the same port. The
@@ -340,11 +341,10 @@ fn chaos(root: &Path) -> Result<(), String> {
     let recovered = Instant::now() + Duration::from_secs(30);
     loop {
         let _ = client.stats().map_err(|e| format!("stats: {e}"))?;
-        let (status, scrape) = http_get(&scrape_addr, "/metrics")?;
-        if status == 200
-            && series_value(&scrape, "afforest_shard_health{shard=\"1\"}") == Some(0)
-            && series_value(&scrape, "afforest_parked_batches{shard=\"1\"}") == Some(0)
-        {
+        if scrape(&scrape_addr)?.is_some_and(|s| {
+            s.value("afforest_shard_health{shard=\"1\"}") == Some(0)
+                && s.value("afforest_parked_batches{shard=\"1\"}") == Some(0)
+        }) {
             break;
         }
         if Instant::now() > recovered {
@@ -410,15 +410,12 @@ fn chaos(root: &Path) -> Result<(), String> {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let _ = client.stats().map_err(|e| format!("stats: {e}"))?;
-        let (status, scrape) = http_get(&scrape_addr, "/metrics")?;
-        let healthy = status == 200
-            && (0..SHARDS).all(|k| {
-                series_value(&scrape, &format!("afforest_shard_health{{shard=\"{k}\"}}")) == Some(0)
-                    && series_value(
-                        &scrape,
-                        &format!("afforest_parked_batches{{shard=\"{k}\"}}"),
-                    ) == Some(0)
-            });
+        let healthy = scrape(&scrape_addr)?.is_some_and(|s| {
+            (0..SHARDS).all(|k| {
+                s.value(&format!("afforest_shard_health{{shard=\"{k}\"}}")) == Some(0)
+                    && s.value(&format!("afforest_parked_batches{{shard=\"{k}\"}}")) == Some(0)
+            })
+        });
         if healthy {
             break;
         }

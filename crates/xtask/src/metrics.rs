@@ -8,16 +8,13 @@
 //! and every `*_total` counter must be monotonic between the two
 //! scrapes. After a clean shutdown the flight recording must exist and
 //! look like the dump schema.
-//!
-//! Like the other smokes, the HTTP client and the exposition parser are
-//! hand-rolled so xtask stays dependency-free.
 
 use crate::smoke::{cli_cmd, shutdown_and_reap, Reaper};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use afforest_obs::registry::{parse_exposition, Scrape};
+use afforest_serve::http::http_get;
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::process::Stdio;
-use std::time::Duration;
 
 /// Runs the telemetry smoke; returns success.
 pub fn run_metrics(root: &Path) -> bool {
@@ -30,60 +27,18 @@ pub fn run_metrics(root: &Path) -> bool {
     }
 }
 
-/// A one-shot `GET path` against `addr`; returns the body on HTTP 200.
-fn http_get(addr: &str, path: &str) -> Result<String, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .map_err(|e| e.to_string())?;
-    stream
-        .write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())
-        .map_err(|e| format!("send request: {e}"))?;
-    let mut raw = String::new();
-    stream
-        .read_to_string(&mut raw)
-        .map_err(|e| format!("read response: {e}"))?;
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .ok_or("no header/body separator in response")?;
-    if !head.starts_with("HTTP/1.0 200") {
-        return Err(format!(
-            "scrape answered: {}",
-            head.lines().next().unwrap_or("")
-        ));
+/// One `GET /metrics` against `addr`, parsed.
+fn scrape(addr: &str) -> Result<Scrape, String> {
+    let (status, body) = http_get(addr, "/metrics")?;
+    if status != 200 {
+        return Err(format!("scrape answered HTTP {status}"));
     }
-    Ok(body.to_string())
+    parse_exposition(&body)
 }
 
-/// Parses exposition text into `(name, value)` samples, skipping `#`
-/// comment lines. Histogram bucket samples keep their `{le="..."}`
-/// label as part of the name, which is all the monotonicity check needs.
-fn parse_samples(text: &str) -> Result<Vec<(String, u64)>, String> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (name, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("malformed sample line: {line}"))?;
-        let value: u64 = value
-            .parse()
-            .map_err(|e| format!("bad value in '{line}': {e}"))?;
-        out.push((name.to_string(), value));
-    }
-    if out.is_empty() {
-        return Err("exposition has no samples".to_string());
-    }
-    Ok(out)
-}
-
-fn sample(samples: &[(String, u64)], name: &str) -> Result<u64, String> {
-    samples
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|&(_, v)| v)
+fn sample(scrape: &Scrape, name: &str) -> Result<u64, String> {
+    scrape
+        .value(name)
         .ok_or_else(|| format!("metric {name} missing from exposition"))
 }
 
@@ -182,19 +137,22 @@ fn metrics(root: &Path) -> Result<(), String> {
 
     // 4. Scrape twice. The workload is already drained, so the second
     // scrape must show every counter at-or-above the first (monotonic).
-    let first = parse_samples(&http_get(&scrape_addr, "/metrics")?)?;
-    let second = parse_samples(&http_get(&scrape_addr, "/metrics")?)?;
+    let first = scrape(&scrape_addr)?;
+    let second = scrape(&scrape_addr)?;
     let connected = sample(&first, "afforest_requests_connected_total")?;
     let ingested = sample(&first, "afforest_edges_ingested_total")?;
-    if connected == 0 || ingested == 0 {
+    // The series `afforest top` shows as the epoch.
+    let epoch = sample(&first, "afforest_tenant_epoch{tenant=\"default\"}")?;
+    if connected == 0 || ingested == 0 || epoch == 0 {
         return Err(format!(
-            "workload not visible in scrape: connected={connected}, ingested={ingested}"
+            "workload not visible in scrape: connected={connected}, ingested={ingested}, \
+             epoch={epoch}"
         ));
     }
     if sample(&first, "afforest_request_latency_connected_ns_count")? == 0 {
         return Err("latency histogram recorded no samples".to_string());
     }
-    for (name, v1) in &first {
+    for (name, v1) in &first.values {
         if !name.ends_with("_total") {
             continue;
         }
@@ -218,7 +176,7 @@ fn metrics(root: &Path) -> Result<(), String> {
     let _ = std::fs::remove_file(&flight);
     println!(
         "==> metrics smoke: {} samples scraped from {scrape_addr}, counters monotonic, flight dump written",
-        first.len()
+        first.values.len()
     );
     Ok(())
 }
