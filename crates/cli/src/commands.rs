@@ -106,6 +106,16 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// The suffix a recovery line carries when replay cut a torn or corrupt
+/// log tail.
+fn torn_note(truncated: bool) -> &'static str {
+    if truncated {
+        "; torn tail truncated"
+    } else {
+        ""
+    }
+}
+
 /// One slow-log line (schema 1): the retained span tree of a single
 /// traced request — root span first, as handed to the slow sink — as a
 /// self-contained JSON object. `serve --slow-log` appends these to
@@ -537,11 +547,7 @@ pub mod serve {
                         } else {
                             ""
                         },
-                        if rec.truncated {
-                            "; torn tail truncated"
-                        } else {
-                            ""
-                        }
+                        torn_note(rec.truncated)
                     );
                     rec.cc
                 } else {
@@ -807,8 +813,7 @@ pub mod serve {
         use afforest_shard::ParkSet;
         match wal_dir {
             Some(root) => {
-                let park = ParkSet::with_root(root, shard_lens)
-                    .map_err(|e| format!("park logs at {}: {e}", root.display()))?;
+                let park = ParkSet::with_root(root, shard_lens).map_err(|e| e.to_string())?;
                 for k in 0..park.num_shards() {
                     let rec = park.recovery(k);
                     if rec.batches > 0 || rec.truncated {
@@ -816,11 +821,7 @@ pub mod serve {
                             "recovered {} parked batch(es), {} edge(s) for shard {k}{}",
                             rec.batches,
                             rec.edges,
-                            if rec.truncated {
-                                "; torn tail truncated"
-                            } else {
-                                ""
-                            }
+                            torn_note(rec.truncated)
                         );
                     }
                 }
@@ -840,11 +841,14 @@ pub mod serve {
         match wal_dir {
             Some(root) => {
                 let path = root.join(afforest_shard::BOUNDARY_LOG);
-                let store = afforest_shard::BoundaryStore::with_log(n, &path)
-                    .map_err(|e| format!("boundary log {}: {e}", path.display()))?;
+                let store =
+                    afforest_shard::BoundaryStore::with_log(n, &path).map_err(|e| e.to_string())?;
                 let replayed = store.edge_count();
-                if replayed > 0 {
-                    println!("recovered {replayed} boundary edge(s)");
+                if replayed > 0 || store.recovery().truncated {
+                    println!(
+                        "recovered {replayed} boundary edge(s){}",
+                        torn_note(store.recovery().truncated)
+                    );
                 }
                 Ok(store)
             }
@@ -992,20 +996,22 @@ pub mod recover {
     }
 
     /// Parked-write backlogs (`park-<k>.log`) a sharded router left
-    /// behind for shards that were still down at shutdown. Reads with
-    /// the same torn-tail truncation a restarting router performs; ids
-    /// are shard-local so range validation is skipped offline.
+    /// behind for shards that were still down at shutdown. Each log's
+    /// header names its shard's slice length; the logs are read with
+    /// the same range checks and torn-tail truncation a restarting
+    /// router performs.
     fn park_report(root: &Path) -> Result<String, String> {
         use afforest_shard::{park_path, ParkSet};
-        let mut lens = Vec::new();
-        while park_path(root, lens.len()).exists() {
-            lens.push(u32::MAX as usize);
-        }
+        let lens = (0..)
+            .map(|k| park_path(root, k))
+            .take_while(|path| path.exists())
+            .map(|path| wal::log_vertices(&path))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| e.to_string())?;
         if lens.is_empty() {
             return Ok(String::new());
         }
-        let set = ParkSet::with_root(root, &lens)
-            .map_err(|e| format!("park logs at {}: {e}", root.display()))?;
+        let set = ParkSet::with_root(root, &lens).map_err(|e| e.to_string())?;
         let mut out = String::new();
         for k in 0..set.num_shards() {
             let rec = set.recovery(k);
@@ -1014,11 +1020,7 @@ pub mod recover {
                 "park shard {k}: {} batch(es), {} edge(s) awaiting replay{}",
                 rec.batches,
                 rec.edges,
-                if rec.truncated {
-                    "; torn tail truncated"
-                } else {
-                    ""
-                }
+                torn_note(rec.truncated)
             );
         }
         Ok(out)
@@ -1090,11 +1092,7 @@ pub mod recover {
                 trec.edges,
                 trec.vertices,
                 tlabels.num_components(),
-                if trec.truncated {
-                    "; torn tail truncated"
-                } else {
-                    ""
-                }
+                torn_note(trec.truncated)
             );
         }
         Ok(out)
@@ -1937,6 +1935,33 @@ mod tests {
         assert!(out.contains("torn tail:   none"), "{out}");
         assert!(out.contains("base:        seed graph"), "{out}");
         assert!(out.contains("components:"), "{out}");
+    }
+
+    #[test]
+    fn recover_reports_park_backlogs_against_each_logs_header() {
+        let dir =
+            std::env::temp_dir().join(format!("afforest-cli-recover-park-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            // Slices of 8 and 12 vertices; shard 1's parked local id 10
+            // is in range only for its own slice length.
+            let park = afforest_shard::ParkSet::with_root(&dir, &[8, 12]).unwrap();
+            park.park(1, &[(10, 11)]);
+        }
+        let out = recover::run(&argv(&["--wal-dir", dir.to_str().unwrap()])).unwrap();
+        assert!(
+            out.contains("park shard 0: 0 batch(es), 0 edge(s) awaiting replay\n"),
+            "{out}"
+        );
+        assert!(
+            out.contains("park shard 1: 1 batch(es), 1 edge(s) awaiting replay\n"),
+            "{out}"
+        );
+        // A park log without a header is an error naming the file.
+        std::fs::write(afforest_shard::park_path(&dir, 0), b"no header here").unwrap();
+        let err = recover::run(&argv(&["--wal-dir", dir.to_str().unwrap()])).unwrap_err();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(err.contains("park-0.log"), "{err}");
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl Hist {
     /// the bucket's exemplar (last writer wins).
     #[inline]
     pub fn record_traced(&self, v: u64, trace_id: u64) {
-        let bucket = 63u32.saturating_sub(v.max(1).leading_zeros()) as usize;
+        let bucket = bucket_of(v) as usize;
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -414,6 +414,13 @@ fn snapshot_grouped() -> Vec<GroupedSample> {
     out
 }
 
+/// The log2 bucket holding `v`: `floor(log2(v))`, with 0 and 1 both in
+/// bucket 0. The inverse of [`bucket_upper_edge`].
+#[inline]
+pub fn bucket_of(v: u64) -> u32 {
+    63 - v.max(1).leading_zeros()
+}
+
 /// Upper edge (inclusive) of log2 bucket `b`, as used in exposition
 /// `le` labels: `2^(b+1) - 1`.
 pub fn bucket_upper_edge(b: u32) -> u64 {
@@ -580,14 +587,7 @@ pub fn parse_exposition(text: &str) -> Result<Scrape, String> {
                 continue; // total repeated in `_count`
             }
             let edge: u64 = le.parse().map_err(|_| err("le bound not an integer"))?;
-            // edge = 2^(b+1) - 1  =>  b = log2(edge + 1) - 1, with the
-            // top bucket's edge saturated at u64::MAX.
-            let bucket = if edge == u64::MAX {
-                63
-            } else {
-                (63u32 - edge.wrapping_add(1).leading_zeros()).saturating_sub(1)
-            };
-            partial.buckets.push((bucket, cum));
+            partial.buckets.push((bucket_of(edge), cum));
             continue;
         }
         let value: u64 = value_part
@@ -855,12 +855,7 @@ mod tests {
     fn bucket_edges_invert() {
         for b in 0..64u32 {
             let edge = bucket_upper_edge(b);
-            let back = if edge == u64::MAX {
-                63
-            } else {
-                63u32.saturating_sub(edge.saturating_add(1).leading_zeros()) - 1
-            };
-            assert_eq!(back, b, "edge {edge}");
+            assert_eq!(bucket_of(edge), b, "edge {edge}");
         }
     }
 }

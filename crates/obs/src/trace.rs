@@ -84,7 +84,7 @@ impl Histogram {
         self.sum_ns += ns;
         self.min_ns = self.min_ns.min(ns);
         self.max_ns = self.max_ns.max(ns);
-        let bucket = 63u32.saturating_sub(ns.max(1).leading_zeros());
+        let bucket = crate::registry::bucket_of(ns);
         match self.buckets.binary_search_by_key(&bucket, |&(b, _)| b) {
             Ok(i) => self.buckets[i].1 += 1,
             Err(i) => self.buckets.insert(i, (bucket, 1)),
@@ -139,12 +139,7 @@ impl Histogram {
         for &(bucket, n) in &self.buckets {
             seen += n;
             if seen >= target {
-                let upper = if bucket >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (bucket + 1)) - 1
-                };
-                return upper.clamp(self.min_ns, self.max_ns);
+                return crate::registry::bucket_upper_edge(bucket).clamp(self.min_ns, self.max_ns);
             }
         }
         self.max_ns

@@ -203,7 +203,7 @@ impl LoadgenReport {
         )
     }
 
-    /// Canonical JSON encoding (the `BENCH_serve.json` payload).
+    /// Canonical JSON encoding (what `loadgen --json-out` writes).
     pub fn to_json(&self) -> String {
         let (p50, p95, p99) = self.percentiles();
         format!(

@@ -25,6 +25,12 @@
 //!               payload = 0x01 tag, u32 edge count, count * (u32, u32)
 //! snapshot.arr  afforest_graph::io node array (the parent snapshot)
 //! ```
+//!
+//! `wal.log`'s format is the service's one **edge-log** format. The
+//! sharded router keeps its park and boundary logs in it too: they are
+//! opened and replayed through [`open_log`] and appended with
+//! [`encode_record`], so every durable edge log shares this header, this
+//! record codec and the replay scan behind [`recover`].
 
 use crate::faults::{FaultPlan, WalFault};
 use afforest_core::{IncrementalCc, InvalidParents};
@@ -45,6 +51,9 @@ const HEADER_LEN: u64 = 24;
 
 /// Record tag for an edge batch (the only record type in version 1).
 const TAG_EDGE_BATCH: u8 = 0x01;
+
+/// Bytes in front of a record's payload: u32 length + u64 checksum.
+const RECORD_PREFIX: usize = 12;
 
 /// Hard ceiling on a record payload (64 MiB ≈ 8M edges). A corrupt
 /// length prefix above this is rejected before any allocation.
@@ -107,6 +116,23 @@ impl From<InvalidParents> for WalError {
     }
 }
 
+/// An edge log that could not be opened or read, with the file it names.
+#[derive(Debug)]
+pub struct LogError {
+    /// The log file.
+    pub path: PathBuf,
+    /// What was wrong with it.
+    pub error: WalError,
+}
+
+impl std::fmt::Display for LogError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "edge log {}: {}", self.path.display(), self.error)
+    }
+}
+
+impl std::error::Error for LogError {}
+
 /// What [`Wal::append`] did with the record — `Logged` in production;
 /// the fault variants exist so chaos tests know exactly which batches
 /// survived to disk.
@@ -125,12 +151,9 @@ pub enum AppendOutcome {
 pub struct Wal {
     file: File,
     dir: PathBuf,
-    n: usize,
     /// Compact (snapshot + truncate) after this many appended batches.
     snapshot_every: u64,
     appends_since_snapshot: u64,
-    batches_logged: u64,
-    bytes_logged: u64,
     faults: Option<Arc<FaultPlan>>,
 }
 
@@ -140,40 +163,13 @@ impl Wal {
     /// a compaction (0 disables compaction).
     pub fn open(dir: &Path, n: usize, snapshot_every: u64) -> Result<Wal, WalError> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(LOG_FILE);
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
-        let len = file.metadata()?.len();
-        if len == 0 {
-            let mut header = Vec::with_capacity(HEADER_LEN as usize);
-            header.extend_from_slice(MAGIC);
-            header.extend_from_slice(&(n as u64).to_le_bytes());
-            let sum = checksum64(&header);
-            header.extend_from_slice(&sum.to_le_bytes());
-            file.write_all(&header)?;
-            file.flush()?;
-        } else {
-            let logged_n = read_header(&mut file)? as usize;
-            if logged_n != n {
-                return Err(WalError::VertexMismatch {
-                    wal: logged_n,
-                    expected: n,
-                });
-            }
-            file.seek(SeekFrom::End(0))?;
-        }
+        let mut file = open_checked(&dir.join(LOG_FILE), n)?;
+        file.seek(SeekFrom::End(0))?;
         Ok(Wal {
             file,
             dir: dir.to_path_buf(),
-            n,
             snapshot_every,
             appends_since_snapshot: 0,
-            batches_logged: 0,
-            bytes_logged: 0,
             faults: None,
         })
     }
@@ -184,39 +180,13 @@ impl Wal {
         self
     }
 
-    /// Vertex count recorded in the header.
-    pub fn vertices(&self) -> usize {
-        self.n
-    }
-
-    /// Batches fully logged since this handle opened.
-    pub fn batches_logged(&self) -> u64 {
-        self.batches_logged
-    }
-
-    /// Record bytes fully logged since this handle opened.
-    pub fn bytes_logged(&self) -> u64 {
-        self.bytes_logged
-    }
-
     /// Appends one edge-batch record. Returns what actually reached the
     /// file (always [`AppendOutcome::Logged`] without a fault plan). The
     /// write goes straight to the OS — surviving a process kill needs no
     /// fsync; surviving power loss would (documented trade-off, DESIGN.md
     /// §11).
     pub fn append(&mut self, edges: &[(Node, Node)]) -> Result<AppendOutcome, WalError> {
-        let mut payload = Vec::with_capacity(5 + edges.len() * 8);
-        payload.push(TAG_EDGE_BATCH);
-        payload.extend_from_slice(&(edges.len() as u32).to_le_bytes());
-        for &(u, v) in edges {
-            payload.extend_from_slice(&u.to_le_bytes());
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-        let mut record = Vec::with_capacity(12 + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&checksum64(&payload).to_le_bytes());
-        record.extend_from_slice(&payload);
-
+        let record = encode_record(edges);
         let fault = self
             .faults
             .as_deref()
@@ -233,8 +203,6 @@ impl Wal {
             WalFault::None => {
                 self.file.write_all(&record)?;
                 self.file.flush()?;
-                self.batches_logged += 1;
-                self.bytes_logged += record.len() as u64;
                 let m = crate::metrics::metrics();
                 m.wal_records.inc();
                 m.wal_bytes.add(record.len() as u64);
@@ -308,7 +276,7 @@ pub fn recover(dir: &Path, seed_edges: &[(Node, Node)]) -> Result<Recovery, WalE
     let _span = afforest_obs::span!("wal-recover");
     let path = dir.join(LOG_FILE);
     let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-    let n = read_header(&mut file)? as usize;
+    let n = read_header(&mut file)?;
 
     let snapshot_path = dir.join(SNAPSHOT_FILE);
     let (mut cc, from_snapshot) = if snapshot_path.exists() {
@@ -337,22 +305,137 @@ pub fn recover(dir: &Path, seed_edges: &[(Node, Node)]) -> Result<Recovery, WalE
         (cc, false)
     };
 
-    // Replay until EOF or the first bad record.
-    let mut reader = BufReader::new(&file);
+    let replayed = replay(&mut file, n, |batch| {
+        cc.insert_batch(&batch);
+    })?;
+    Ok(Recovery {
+        cc,
+        vertices: n,
+        from_snapshot,
+        batches: replayed.batches,
+        edges: replayed.edges,
+        truncated: replayed.truncated,
+    })
+}
+
+/// What the replay scan found in one edge log.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Replay {
+    /// Edge-batch records replayed, in append order.
+    pub batches: u64,
+    /// Edges across the replayed records.
+    pub edges: u64,
+    /// Whether a corrupt/torn tail was found (and truncated away).
+    pub truncated: bool,
+}
+
+/// Opens the edge log at `path` (creating it and its directory if
+/// absent) for an `n`-vertex universe and replays it: every intact
+/// record goes to `apply` in append order, and the file is truncated at
+/// the first bad one. Returns the handle positioned for appends.
+///
+/// An empty file gets a fresh header. A header that is short, corrupt
+/// or names another vertex count is refused with a [`LogError`] that
+/// names the file, and the file's bytes are left as they were.
+pub fn open_log(
+    path: &Path,
+    n: usize,
+    apply: impl FnMut(Vec<(Node, Node)>),
+) -> Result<(File, Replay), LogError> {
+    let open = || {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        let mut file = open_checked(path, n)?;
+        let replayed = replay(&mut file, n, apply)?;
+        Ok((file, replayed))
+    };
+    open().map_err(|error| LogError {
+        path: path.to_path_buf(),
+        error,
+    })
+}
+
+/// The vertex count named by the header of the edge log at `path`.
+pub fn log_vertices(path: &Path) -> Result<usize, LogError> {
+    let read = || read_header(&mut File::open(path)?);
+    read().map_err(|error| LogError {
+        path: path.to_path_buf(),
+        error,
+    })
+}
+
+/// The header of an `n`-vertex edge log.
+pub fn encode_header(n: usize) -> Vec<u8> {
+    let mut header = Vec::with_capacity(HEADER_LEN as usize);
+    header.extend_from_slice(MAGIC);
+    header.extend_from_slice(&(n as u64).to_le_bytes());
+    let sum = checksum64(&header);
+    header.extend_from_slice(&sum.to_le_bytes());
+    header
+}
+
+/// One edge-batch record: `[u32 len][u64 fnv1a(payload)][payload]`.
+pub fn encode_record(edges: &[(Node, Node)]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(5 + edges.len() * 8);
+    payload.push(TAG_EDGE_BATCH);
+    payload.extend_from_slice(&(edges.len() as u32).to_le_bytes());
+    for &(u, v) in edges {
+        payload.extend_from_slice(&u.to_le_bytes());
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut record = Vec::with_capacity(RECORD_PREFIX + payload.len());
+    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    record.extend_from_slice(&checksum64(&payload).to_le_bytes());
+    record.extend_from_slice(&payload);
+    record
+}
+
+/// Opens (creating if absent) the log at `path`: an empty file gets a
+/// fresh `n`-vertex header; an existing header must be intact and name
+/// `n`, else a typed error and no byte is written.
+fn open_checked(path: &Path, n: usize) -> Result<File, WalError> {
+    let mut file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)?;
+    if file.metadata()?.len() == 0 {
+        file.write_all(&encode_header(n))?;
+        file.flush()?;
+    } else {
+        let logged = read_header(&mut file)?;
+        if logged != n {
+            return Err(WalError::VertexMismatch {
+                wal: logged,
+                expected: n,
+            });
+        }
+    }
+    Ok(file)
+}
+
+/// The replay scan, total over the file's bytes: hands each intact
+/// record after the header to `apply` in order, one record in memory at
+/// a time, until EOF or the first bad record (short read, length out of
+/// `5..=MAX_RECORD_LEN`, checksum mismatch, malformed payload, endpoint
+/// outside `0..n`). A bad tail is truncated so the next append starts at
+/// a record boundary; the handle is left positioned at the end.
+fn replay(
+    file: &mut File,
+    n: usize,
+    mut apply: impl FnMut(Vec<(Node, Node)>),
+) -> Result<Replay, WalError> {
+    let file_len = file.metadata()?.len();
+    let mut reader = BufReader::new(&*file);
     reader.seek(SeekFrom::Start(HEADER_LEN))?;
     let mut good_end = HEADER_LEN;
-    let mut batches = 0u64;
-    let mut edges = 0u64;
-    let mut clean_eof = false;
+    let mut replayed = Replay::default();
     loop {
-        let mut prefix = [0u8; 12];
-        match read_exact_or_eof(&mut reader, &mut prefix)? {
-            ReadOutcome::Eof => {
-                clean_eof = true;
-                break;
-            }
-            ReadOutcome::Partial => break,
-            ReadOutcome::Full => {}
+        let mut prefix = [0u8; RECORD_PREFIX];
+        if !read_full(&mut reader, &mut prefix)? {
+            break;
         }
         // PANIC-OK: `prefix` is a 12-byte array; both subranges and the
         // slice-to-array conversions are statically in range.
@@ -363,39 +446,28 @@ pub fn recover(dir: &Path, seed_edges: &[(Node, Node)]) -> Result<Recovery, WalE
             break;
         }
         let mut payload = vec![0u8; len];
-        if !matches!(
-            read_exact_or_eof(&mut reader, &mut payload)?,
-            ReadOutcome::Full
-        ) {
-            break;
-        }
-        if checksum64(&payload) != declared_sum {
+        if !read_full(&mut reader, &mut payload)? || checksum64(&payload) != declared_sum {
             break;
         }
         let Some(batch) = decode_batch(&payload, n) else {
             break;
         };
-        cc.insert_batch(&batch);
-        batches += 1;
-        edges += batch.len() as u64;
-        good_end += 12 + len as u64;
+        replayed.batches += 1;
+        replayed.edges += batch.len() as u64;
+        apply(batch);
+        good_end += (RECORD_PREFIX + len) as u64;
     }
     drop(reader);
 
-    let truncated = !clean_eof;
-    if truncated {
-        // Cut the bad tail so the next append starts from a valid record
-        // boundary (a torn record would otherwise poison future appends).
+    // Bytes past the last intact record are a bad tail: cut it so the
+    // next append starts from a valid record boundary (a torn record
+    // would otherwise poison future appends).
+    replayed.truncated = good_end < file_len;
+    if replayed.truncated {
         file.set_len(good_end)?;
     }
-    Ok(Recovery {
-        cc,
-        vertices: n,
-        from_snapshot,
-        batches,
-        edges,
-        truncated,
-    })
+    file.seek(SeekFrom::End(0))?;
+    Ok(replayed)
 }
 
 /// Whether `dir` holds a WAL (log file present).
@@ -449,7 +521,7 @@ pub fn tenant_dirs(root: &Path) -> Vec<(String, PathBuf)> {
 
 /// Validates the magic and the header checksum, returning the header's
 /// vertex count and leaving the cursor after the header.
-fn read_header(file: &mut File) -> Result<u64, WalError> {
+fn read_header(file: &mut File) -> Result<usize, WalError> {
     file.seek(SeekFrom::Start(0))?;
     let mut header = [0u8; HEADER_LEN as usize];
     file.read_exact(&mut header)
@@ -474,28 +546,17 @@ fn read_header(file: &mut File) -> Result<u64, WalError> {
             "vertex count {n} exceeds Node range"
         )));
     }
-    Ok(n)
+    Ok(n as usize)
 }
 
-enum ReadOutcome {
-    Full,
-    Partial,
-    Eof,
-}
-
-/// Fills `buf` completely (`Full`), hits EOF before any byte (`Eof`), or
-/// hits EOF mid-buffer (`Partial`). IO errors propagate.
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<ReadOutcome> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        // PANIC-OK: `filled < buf.len()` loop bound keeps the range valid.
-        match r.read(&mut buf[filled..])? {
-            0 if filled == 0 => return Ok(ReadOutcome::Eof),
-            0 => return Ok(ReadOutcome::Partial),
-            k => filled += k,
-        }
+/// Fills `buf`, or returns `false` if the file ends first. Other IO
+/// errors propagate.
+fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
+    match r.read_exact(buf) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e),
     }
-    Ok(ReadOutcome::Full)
 }
 
 /// Decodes an edge-batch payload; `None` on any structural problem
@@ -552,8 +613,6 @@ mod tests {
             for b in &batches {
                 assert_eq!(wal.append(b).unwrap(), AppendOutcome::Logged);
             }
-            assert_eq!(wal.batches_logged(), 3);
-            assert!(wal.bytes_logged() > 0);
         }
         let mut rec = recover(&dir, &[]).unwrap();
         assert_eq!(rec.vertices, 10);

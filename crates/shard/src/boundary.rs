@@ -11,21 +11,29 @@
 //! derived from the full set.
 //!
 //! The store carries a monotonically increasing `version` (bumped once
-//! per *stored* edge) which the router uses, together with per-shard
-//! epochs, to key its composite-connectivity cache.
+//! per *stored* edge, so it is also the stored-edge count) which the
+//! router uses, together with per-shard epochs, to key its
+//! composite-connectivity cache.
 //!
-//! With [`BoundaryStore::with_log`] every stored edge is also appended
-//! to a log file as an 8-byte little-endian `(u32, u32)` record, and
-//! reloading the store replays the log (truncating a torn tail), so a
-//! router restart does not forget cross-shard connectivity.
+//! With [`BoundaryStore::with_log`] the store is backed by an edge log
+//! in the WAL's file format (`afforest_serve::wal`): a header naming
+//! the global vertex count, then one checksummed edge-batch record per
+//! [`BoundaryStore::observe_batch`] call that stored an edge, holding
+//! exactly the edges it stored. Reloading replays those records through
+//! the cut-edge forest up to the first corrupt or torn one (the file is
+//! truncated there), so the recovered forest is always a replay of a
+//! prefix of the logged batches and a router restart does not forget
+//! cross-shard connectivity. A log whose header is missing, corrupt or
+//! names another vertex count is refused, untouched.
 
-use std::fs::{self, OpenOptions};
-use std::io::{self, Write};
+use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 use std::sync::Mutex;
 
 use afforest_core::IncrementalCc;
 use afforest_graph::Node;
+use afforest_serve::wal::{self, LogError, Replay};
 
 /// File name of the boundary log inside a router's WAL namespace.
 pub const BOUNDARY_LOG: &str = "boundary.log";
@@ -34,7 +42,7 @@ struct BoundaryInner {
     uf: IncrementalCc,
     stored: Vec<(Node, Node)>,
     version: u64,
-    log: Option<fs::File>,
+    log: Option<File>,
     log_errors: u64,
 }
 
@@ -42,6 +50,7 @@ struct BoundaryInner {
 /// vertex space.
 pub struct BoundaryStore {
     vertices: usize,
+    recovery: Replay,
     inner: Mutex<BoundaryInner>,
 }
 
@@ -50,6 +59,7 @@ impl BoundaryStore {
     pub fn new(n: usize) -> BoundaryStore {
         BoundaryStore {
             vertices: n,
+            recovery: Replay::default(),
             inner: Mutex::new(BoundaryInner {
                 uf: IncrementalCc::new(n),
                 stored: Vec::new(),
@@ -60,58 +70,38 @@ impl BoundaryStore {
         }
     }
 
-    /// A store backed by an append-only log at `path`. An existing log
-    /// is replayed (records past a torn 8-byte boundary are discarded
-    /// and the file truncated to the clean prefix); new stored edges
-    /// are appended.
-    pub fn with_log(n: usize, path: &Path) -> io::Result<BoundaryStore> {
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
+    /// A store over `n` global vertices backed by the edge log at
+    /// `path` (created if absent). An existing log is replayed through
+    /// the cut-edge forest, its bad tail truncated; new stored edges
+    /// are appended. A log for another vertex count is an error.
+    pub fn with_log(n: usize, path: &Path) -> Result<BoundaryStore, LogError> {
         let mut uf = IncrementalCc::new(n);
         let mut stored = Vec::new();
-        let mut version = 0u64;
-        if path.exists() {
-            let bytes = fs::read(path)?;
-            let torn = bytes.len() % 8;
-            for rec in bytes.chunks_exact(8) {
-                let (a, b) = rec.split_at(4);
-                let (Ok(ua), Ok(va)) = (<[u8; 4]>::try_from(a), <[u8; 4]>::try_from(b)) else {
-                    break;
-                };
-                let u = Node::from_le_bytes(ua);
-                let v = Node::from_le_bytes(va);
-                if (u as usize) < n && (v as usize) < n && uf.insert(u, v) {
-                    stored.push((u, v));
-                    version += 1;
-                }
-            }
-            if torn != 0 {
-                let (clean, _) = bytes.split_at(bytes.len() - torn);
-                fs::write(path, clean)?;
-            }
-        }
-        let log = OpenOptions::new().create(true).append(true).open(path)?;
+        let (log, recovery) = wal::open_log(path, n, |batch| {
+            stored.extend(batch.into_iter().filter(|&(u, v)| uf.insert(u, v)));
+        })?;
         Ok(BoundaryStore {
             vertices: n,
+            recovery,
             inner: Mutex::new(BoundaryInner {
                 uf,
+                version: stored.len() as u64,
                 stored,
-                version,
                 log: Some(log),
                 log_errors: 0,
             }),
         })
     }
 
-    /// Global vertex count the store validates edges against.
-    pub fn vertices(&self) -> usize {
-        self.vertices
+    /// What replaying the log found when the store was opened (all
+    /// zero for a memory-only store).
+    pub fn recovery(&self) -> Replay {
+        self.recovery
     }
 
     /// Offers a batch of cut edges. Edges that merge two components of
-    /// the cut-edge forest are stored (and logged, if a log is
-    /// attached); the rest are dropped as redundant. Out-of-range
+    /// the cut-edge forest are stored (and logged as one record, if a
+    /// log is attached); the rest are dropped as redundant. Out-of-range
     /// endpoints are ignored. Returns how many edges were stored.
     pub fn observe_batch(&self, edges: &[(Node, Node)]) -> usize {
         let n = self.vertices as u64;
@@ -123,24 +113,24 @@ impl BoundaryStore {
         if valid.is_empty() {
             return 0;
         }
-        let mut stored_now = 0usize;
+        let mut fresh = Vec::new();
         let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         for (u, v) in valid {
             if g.uf.insert(u, v) {
                 g.stored.push((u, v));
                 g.version += 1;
-                stored_now += 1;
-                let mut rec = Vec::with_capacity(8);
-                rec.extend_from_slice(&u.to_le_bytes());
-                rec.extend_from_slice(&v.to_le_bytes());
-                if let Some(f) = g.log.as_mut() {
-                    if f.write_all(&rec).is_err() {
-                        g.log_errors += 1;
-                    }
+                fresh.push((u, v));
+            }
+        }
+        if !fresh.is_empty() {
+            if let Some(f) = g.log.as_mut() {
+                if f.write_all(&wal::encode_record(&fresh)).is_err() {
+                    g.log_errors += 1;
                 }
             }
         }
-        stored_now
+        drop(g);
+        fresh.len()
     }
 
     /// The current version and a copy of the stored forest edges,
@@ -150,9 +140,10 @@ impl BoundaryStore {
         (g.version, g.stored.clone())
     }
 
-    /// Number of edges currently stored.
+    /// Number of edges currently stored (the version, read under the
+    /// lock without copying the forest).
     pub fn edge_count(&self) -> usize {
-        self.snapshot_edges().1.len()
+        self.inner.lock().unwrap_or_else(|e| e.into_inner()).version as usize
     }
 
     /// Number of failed log appends since the store was opened.
@@ -167,6 +158,15 @@ impl BoundaryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afforest_serve::wal::WalError;
+    use std::fs::{self, OpenOptions};
+
+    fn tempdir(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("afforest-boundary-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
 
     #[test]
     fn redundant_cut_edges_are_dropped() {
@@ -188,8 +188,7 @@ mod tests {
 
     #[test]
     fn log_roundtrip_preserves_forest() {
-        let dir = std::env::temp_dir().join(format!("afforest-boundary-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let dir = tempdir("roundtrip");
         let path = dir.join(BOUNDARY_LOG);
         {
             let store = BoundaryStore::with_log(10, &path).unwrap();
@@ -199,26 +198,104 @@ mod tests {
         let (version, edges) = store.snapshot_edges();
         assert_eq!(version, 2);
         assert_eq!(edges, vec![(0, 5), (5, 9)]);
+        assert_eq!(store.recovery().batches, 1);
+        assert!(!store.recovery().truncated);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_tail_is_truncated() {
-        let dir =
-            std::env::temp_dir().join(format!("afforest-boundary-torn-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
+        let dir = tempdir("torn");
         let path = dir.join(BOUNDARY_LOG);
         {
             let store = BoundaryStore::with_log(10, &path).unwrap();
             store.observe_batch(&[(0, 5)]);
         }
+        let clean = fs::read(&path).unwrap();
         // Simulate a crash mid-append: 3 garbage bytes past the record.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&[0xde, 0xad, 0xbe]).unwrap();
         drop(f);
         let store = BoundaryStore::with_log(10, &path).unwrap();
         assert_eq!(store.snapshot_edges().1, vec![(0, 5)]);
-        assert_eq!(fs::read(&path).unwrap().len(), 8);
+        assert!(store.recovery().truncated);
+        assert_eq!(fs::read(&path).unwrap(), clean, "cut at a record boundary");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn flipped_byte_ends_the_replay_at_its_record() {
+        let dir = tempdir("flip");
+        let path = dir.join(BOUNDARY_LOG);
+        let first_end = {
+            let store = BoundaryStore::with_log(10, &path).unwrap();
+            store.observe_batch(&[(0, 5)]);
+            let first_end = fs::metadata(&path).unwrap().len() as usize;
+            store.observe_batch(&[(1, 6)]);
+            first_end
+        };
+        // Flip the low byte of the second record's last endpoint: 6
+        // becomes 7, still in range, so only the checksum can tell.
+        let mut bytes = fs::read(&path).unwrap();
+        let at = bytes.len() - 4;
+        assert!(at >= first_end, "the flip lands inside the second record");
+        bytes[at] ^= 0x01;
+        fs::write(&path, &bytes).unwrap();
+
+        let store = BoundaryStore::with_log(10, &path).unwrap();
+        assert_eq!(
+            store.snapshot_edges(),
+            (1, vec![(0, 5)]),
+            "exactly the first batch's forest; (1, 7) was never inserted"
+        );
+        assert!(store.recovery().truncated);
+        assert_eq!(store.recovery().batches, 1);
+        drop(store);
+        assert_eq!(fs::metadata(&path).unwrap().len() as usize, first_end);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn foreign_or_missing_header_is_refused_untouched() {
+        let dir = tempdir("header");
+        let path = dir.join(BOUNDARY_LOG);
+        {
+            let store = BoundaryStore::with_log(10, &path).unwrap();
+            store.observe_batch(&[(0, 5)]);
+        }
+        let logged = fs::read(&path).unwrap();
+
+        // Another global vertex count (a restart with another
+        // `--vertices`): refused, naming the file, bytes untouched.
+        let err = BoundaryStore::with_log(12, &path)
+            .err()
+            .expect("vertex count mismatch refused");
+        assert_eq!(err.path, path);
+        assert!(
+            matches!(
+                err.error,
+                WalError::VertexMismatch {
+                    wal: 10,
+                    expected: 12
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(fs::read(&path).unwrap(), logged);
+
+        // No header (bare little-endian 8-byte pairs): refused, not
+        // replayed as edges.
+        let bare: Vec<u8> = [(0u8, 5u8), (1, 6), (2, 7), (3, 8)]
+            .iter()
+            .flat_map(|&(u, v)| [u, 0, 0, 0, v, 0, 0, 0])
+            .collect();
+        fs::write(&path, &bare).unwrap();
+        let err = BoundaryStore::with_log(10, &path)
+            .err()
+            .expect("headerless log refused");
+        assert_eq!(err.path, path);
+        assert!(matches!(err.error, WalError::Corrupt(_)), "{err}");
+        assert_eq!(fs::read(&path).unwrap(), bare);
         let _ = fs::remove_dir_all(&dir);
     }
 }

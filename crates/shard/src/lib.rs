@@ -14,7 +14,7 @@
 //!   translation, batch splitting.
 //! - [`boundary`] — the [`BoundaryStore`]: a persistent spanning
 //!   forest of the *cut* edges (endpoints on two shards), the only
-//!   state the router owns itself.
+//!   state the router owns itself (kept in a WAL-format edge log).
 //! - [`compose`] — merging per-shard forest labels with the boundary
 //!   graph into global `Connected` / `Component` / `NumComponents`
 //!   answers.
@@ -27,8 +27,8 @@
 //!   (Healthy → Suspect → Down → Probing) whose circuit breaker makes
 //!   a dead shard fail fast instead of burning retry budgets.
 //! - [`park`] — durable per-shard parking of insert batches destined
-//!   for a Down shard, replayed in order on recovery (WAL record
-//!   format, torn-tail tolerant).
+//!   for a Down shard, replayed in order on recovery (WAL-format
+//!   edge logs, torn-tail tolerant).
 //! - [`router`] — the [`Router`]: request dispatch, the composite
 //!   cache, degraded reads and write parking, and the TCP front-end.
 //! - [`metrics`] — `{shard="k"}`-labelled series merged into the
@@ -61,7 +61,7 @@ pub use cluster::{shard_tenant_name, LocalCluster};
 pub use compose::{Composite, CompositeClass};
 pub use health::{Gate, HealthConfig, HealthState, HealthTracker, Transition};
 pub use metrics::{router_metrics, RouterMetrics, ShardSeries};
-pub use park::{park_path, ParkRecovery, ParkSet};
+pub use park::{park_path, ParkSet};
 pub use plan::{RoutedEdges, ShardPlan};
 pub use remote::RemoteShards;
 pub use router::Router;

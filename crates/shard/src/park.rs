@@ -3,22 +3,24 @@
 //! When the circuit breaker has a shard open, `InsertEdges` batches
 //! destined for it are *parked* instead of dropped or blocked on: each
 //! batch is kept in order in memory and appended to a per-shard park
-//! log `<root>/park-<k>.log` using the WAL's record format —
-//! `[u32 len][u64 fnv1a checksum][payload]` with an edge-batch payload
-//! of `[0x01][u32 count][count × (u32,u32) LE]`, all ids **shard
-//! local**. When the shard transitions back to Healthy the router
-//! replays the parked batches in arrival order and then clears the
-//! log.
+//! log `<root>/park-<k>.log`. A park log is an edge log in the WAL's
+//! file format (`afforest_serve::wal`): a header naming the shard's
+//! slice length, then one checksummed edge-batch record per parked
+//! batch, all ids **shard local**. When the shard transitions back to
+//! Healthy the router replays the parked batches in arrival order and
+//! then clears the log.
 //!
 //! Durability mirrors the WAL's trade-off: writes go straight to the
-//! OS (survives a process kill, not power loss), and recovery is a
-//! total function — any byte string in a park log yields a valid
-//! prefix of batches, with the first torn/corrupt record truncated
-//! away. Replay is idempotent (union-find inserts are), so a crash
-//! between "replayed" and "cleared" only costs re-replaying. Clearing
-//! rewrites the log via a sibling tmp file renamed into place: a kill
-//! mid-clear leaves the old log whole (never a half-rewrite that
-//! durably drops undelivered batches).
+//! OS (survives a process kill, not power loss), and recovery is the
+//! WAL's replay scan — any byte string after a valid header yields a
+//! valid prefix of batches, with the first torn/corrupt record
+//! truncated away. A log whose header is missing, corrupt or names
+//! another slice length is refused, untouched. Replay is idempotent
+//! (union-find inserts are), so a crash between "replayed" and
+//! "cleared" only costs re-replaying. Clearing rewrites the log (header,
+//! then the surviving records) via a sibling tmp file renamed into
+//! place: a kill mid-clear leaves the old log whole (never a
+//! half-rewrite that durably drops undelivered batches).
 //!
 //! Like [`health`](crate::health), this module is pure bookkeeping: it
 //! publishes no metrics and records no events. The router owns the
@@ -26,45 +28,36 @@
 //! flight event, and never holds a park lock across a backend call.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use afforest_graph::io::checksum64;
 use afforest_graph::Node;
-
-/// Payload tag of an edge-batch record (the WAL's value).
-const TAG_EDGE_BATCH: u8 = 0x01;
-
-/// Largest record payload recovery will accept (the WAL's bound).
-const MAX_RECORD_LEN: usize = 1 << 26;
+use afforest_serve::wal::{self, LogError, Replay};
 
 /// The park-log file name for shard `k` under the router's state root.
 pub fn park_path(root: &Path, shard: usize) -> PathBuf {
     root.join(format!("park-{shard}.log"))
 }
 
-/// What recovery found in one shard's park log.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ParkRecovery {
-    /// Batches recovered (in append order).
-    pub batches: u64,
-    /// Total edges across the recovered batches.
-    pub edges: u64,
-    /// Whether a torn/corrupt tail was truncated away.
-    pub truncated: bool,
-}
-
 /// A parked batch: shard-local edge pairs, in arrival order.
 type Batch = Vec<(Node, Node)>;
+
+/// A durable shard's park log.
+struct ParkLog {
+    /// Append handle.
+    file: File,
+    /// Rewrite-by-rename target.
+    path: PathBuf,
+    /// The shard's slice length, named by the log's header.
+    vertices: usize,
+}
 
 struct ParkShard {
     /// Parked batches, oldest first, shard-local ids.
     queue: Vec<Batch>,
-    /// Append handle when the set is durable.
-    file: Option<File>,
-    /// Log path when the set is durable (rewrite-by-rename target).
-    path: Option<PathBuf>,
+    /// The park log when the set is durable.
+    log: Option<ParkLog>,
     /// Appends that failed with an I/O error (batch stays in memory).
     write_errors: u64,
 }
@@ -72,7 +65,7 @@ struct ParkShard {
 /// Per-shard parked-write queues, optionally backed by park logs.
 pub struct ParkSet {
     shards: Vec<Mutex<ParkShard>>,
-    recoveries: Vec<ParkRecovery>,
+    recoveries: Vec<Replay>,
 }
 
 impl ParkSet {
@@ -83,43 +76,40 @@ impl ParkSet {
                 .map(|_| {
                     Mutex::new(ParkShard {
                         queue: Vec::new(),
-                        file: None,
-                        path: None,
+                        log: None,
                         write_errors: 0,
                     })
                 })
                 .collect(),
-            recoveries: vec![ParkRecovery::default(); num_shards],
+            recoveries: vec![Replay::default(); num_shards],
         }
     }
 
     /// A durable park set rooted at `root` (created if missing). An
     /// existing `park-<k>.log` is recovered first — shard `k`'s queue
     /// starts with the surviving prefix of batches, torn tail truncated
-    /// — so parked writes outlive a router restart. `shard_lens[k]`
-    /// bounds shard `k`'s local id space; records naming ids outside it
-    /// are treated as corruption.
-    pub fn with_root(root: &Path, shard_lens: &[usize]) -> std::io::Result<ParkSet> {
-        std::fs::create_dir_all(root)?;
+    /// — so parked writes outlive a router restart. `shard_lens[k]` is
+    /// shard `k`'s local id space: a log whose header names another
+    /// length is an error, and records naming ids outside it are
+    /// treated as corruption.
+    pub fn with_root(root: &Path, shard_lens: &[usize]) -> Result<ParkSet, LogError> {
         let mut shards = Vec::with_capacity(shard_lens.len());
         let mut recoveries = Vec::with_capacity(shard_lens.len());
-        for (k, &n) in shard_lens.iter().enumerate() {
+        for (k, &vertices) in shard_lens.iter().enumerate() {
             let path = park_path(root, k);
             // A tmp file can only be a rewrite that died before its
             // rename landed; the log it was replacing is still whole.
             let _ = std::fs::remove_file(tmp_path(&path));
-            let mut file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(&path)?;
-            let (queue, recovery) = recover_log(&mut file, n)?;
+            let mut queue = Vec::new();
+            let (file, recovery) = wal::open_log(&path, vertices, |batch| queue.push(batch))?;
             recoveries.push(recovery);
             shards.push(Mutex::new(ParkShard {
                 queue,
-                file: Some(file),
-                path: Some(path),
+                log: Some(ParkLog {
+                    file,
+                    path,
+                    vertices,
+                }),
                 write_errors: 0,
             }));
         }
@@ -132,8 +122,8 @@ impl ParkSet {
     }
 
     /// What recovery found for `shard` when the set was opened.
-    pub fn recovery(&self, shard: usize) -> ParkRecovery {
-        self.recoveries.get(shard).cloned().unwrap_or_default()
+    pub fn recovery(&self, shard: usize) -> Replay {
+        self.recoveries.get(shard).copied().unwrap_or_default()
     }
 
     fn slot(&self, shard: usize) -> Option<std::sync::MutexGuard<'_, ParkShard>> {
@@ -150,9 +140,14 @@ impl ParkSet {
             return 0;
         };
         s.queue.push(edges.to_vec());
-        if let Some(file) = &mut s.file {
-            let record = encode_record(edges);
-            if file.write_all(&record).and_then(|()| file.flush()).is_err() {
+        if let Some(log) = &mut s.log {
+            let record = wal::encode_record(edges);
+            if log
+                .file
+                .write_all(&record)
+                .and_then(|()| log.file.flush())
+                .is_err()
+            {
                 s.write_errors += 1;
             }
         }
@@ -199,18 +194,19 @@ impl ParkSet {
         let Some(mut s) = self.slot(shard) else {
             return;
         };
+        let s = &mut *s;
         let cut = batches.min(s.queue.len());
         let keep = s.queue.split_off(cut);
         s.queue = keep;
-        let Some(path) = s.path.clone() else {
+        let Some(log) = &mut s.log else {
             return;
         };
-        let mut bytes = Vec::new();
+        let mut bytes = wal::encode_header(log.vertices);
         for batch in &s.queue {
-            bytes.extend_from_slice(&encode_record(batch));
+            bytes.extend_from_slice(&wal::encode_record(batch));
         }
-        match write_replace(&path, &bytes) {
-            Ok(file) => s.file = Some(file),
+        match write_replace(&log.path, &bytes) {
+            Ok(file) => log.file = file,
             // The rename did not land: the old log (and its handle,
             // still positioned at the end) stays authoritative —
             // over-complete, which idempotent replay absorbs.
@@ -241,107 +237,10 @@ fn write_replace(path: &Path, bytes: &[u8]) -> std::io::Result<File> {
     Ok(file)
 }
 
-/// Encodes one batch in the WAL record format (see module docs).
-fn encode_record(edges: &[(Node, Node)]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(5 + edges.len() * 8);
-    payload.push(TAG_EDGE_BATCH);
-    payload.extend_from_slice(&(edges.len() as u32).to_le_bytes());
-    for &(u, v) in edges {
-        payload.extend_from_slice(&u.to_le_bytes());
-        payload.extend_from_slice(&v.to_le_bytes());
-    }
-    let mut record = Vec::with_capacity(12 + payload.len());
-    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    record.extend_from_slice(&checksum64(&payload).to_le_bytes());
-    record.extend_from_slice(&payload);
-    record
-}
-
-/// Reads `n`-bounded batches until EOF or the first bad record, then
-/// truncates the file there. Total over arbitrary file contents.
-fn recover_log(file: &mut File, n: usize) -> std::io::Result<(Vec<Batch>, ParkRecovery)> {
-    let mut bytes = Vec::new();
-    file.seek(SeekFrom::Start(0))?;
-    file.read_to_end(&mut bytes)?;
-    let mut queue = Vec::new();
-    let mut recovery = ParkRecovery::default();
-    let mut at = 0usize;
-    loop {
-        let Some(prefix) = bytes.get(at..at + 12) else {
-            recovery.truncated = at < bytes.len();
-            break;
-        };
-        let len = read_u32(prefix, 0) as usize;
-        let declared = read_u64(prefix, 4);
-        if !(5..=MAX_RECORD_LEN).contains(&len) {
-            recovery.truncated = true;
-            break;
-        }
-        let Some(payload) = bytes.get(at + 12..at + 12 + len) else {
-            recovery.truncated = true;
-            break;
-        };
-        if checksum64(payload) != declared {
-            recovery.truncated = true;
-            break;
-        }
-        let Some(batch) = decode_batch(payload, n) else {
-            recovery.truncated = true;
-            break;
-        };
-        recovery.batches += 1;
-        recovery.edges += batch.len() as u64;
-        queue.push(batch);
-        at += 12 + len;
-    }
-    if recovery.truncated {
-        file.set_len(at as u64)?;
-    }
-    file.seek(SeekFrom::End(0))?;
-    Ok((queue, recovery))
-}
-
-/// Little-endian u32 at `at`; 0 if out of range (callers pre-slice).
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    match bytes.get(at..at + 4).map(TryInto::try_into) {
-        Some(Ok(arr)) => u32::from_le_bytes(arr),
-        _ => 0,
-    }
-}
-
-/// Little-endian u64 at `at`; 0 if out of range (callers pre-slice).
-fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    match bytes.get(at..at + 8).map(TryInto::try_into) {
-        Some(Ok(arr)) => u64::from_le_bytes(arr),
-        _ => 0,
-    }
-}
-
-/// Decodes an edge-batch payload whose ids must fall in `0..n`.
-fn decode_batch(payload: &[u8], n: usize) -> Option<Vec<(Node, Node)>> {
-    if payload.first() != Some(&TAG_EDGE_BATCH) {
-        return None;
-    }
-    let count = read_u32(payload.get(1..5)?, 0) as usize;
-    let body = payload.get(5..)?;
-    if body.len() != count * 8 {
-        return None;
-    }
-    let mut edges = Vec::with_capacity(count);
-    for pair in body.chunks_exact(8) {
-        let u = read_u32(pair, 0);
-        let v = read_u32(pair, 4);
-        if u as usize >= n || v as usize >= n {
-            return None;
-        }
-        edges.push((u, v));
-    }
-    Some(edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afforest_serve::wal::WalError;
 
     fn tempdir(name: &str) -> PathBuf {
         let dir =
@@ -388,10 +287,9 @@ mod tests {
         set.clear(0, usize::MAX);
         assert_eq!(set.depth(0), 0);
         assert_eq!(
-            std::fs::metadata(park_path(dir.as_path(), 0))
-                .unwrap()
-                .len(),
-            0
+            std::fs::read(park_path(dir.as_path(), 0)).unwrap(),
+            wal::encode_header(16),
+            "a fully cleared log is its header alone"
         );
     }
 
@@ -458,10 +356,50 @@ mod tests {
         drop(set);
 
         // An id outside the shard's space is corruption too.
-        std::fs::write(&path, encode_record(&[(7, 9)])).unwrap();
+        let out_of_range = [wal::encode_header(8), wal::encode_record(&[(7, 9)])].concat();
+        std::fs::write(&path, out_of_range).unwrap();
         let set = ParkSet::with_root(dir.as_path(), &[8]).unwrap();
         assert_eq!(set.recovery(0).batches, 0);
         assert!(set.recovery(0).truncated);
+    }
+
+    #[test]
+    fn foreign_or_missing_header_is_refused_untouched() {
+        let dir = tempdir("header");
+        let set = ParkSet::with_root(dir.as_path(), &[8]).unwrap();
+        set.park(0, &[(1, 2)]);
+        drop(set);
+        let path = park_path(dir.as_path(), 0);
+        let logged = std::fs::read(&path).unwrap();
+
+        // Another slice length (a restart with another plan): refused,
+        // naming the file, with the logged batch still on disk.
+        let err = ParkSet::with_root(dir.as_path(), &[9])
+            .err()
+            .expect("slice length mismatch refused");
+        assert_eq!(err.path, path);
+        assert!(
+            matches!(
+                err.error,
+                WalError::VertexMismatch {
+                    wal: 8,
+                    expected: 9
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), logged);
+
+        // No header (bare records): refused, not truncated to nothing.
+        let bare = wal::encode_record(&[(1, 2)]);
+        std::fs::write(&path, &bare).unwrap();
+        let err = ParkSet::with_root(dir.as_path(), &[8])
+            .err()
+            .expect("headerless log refused");
+        assert_eq!(err.path, path);
+        assert!(matches!(err.error, WalError::Corrupt(_)), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), bare);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Satellite: boundary-log recovery under arbitrary corruption.
 //!
-//! The boundary log is the only router-owned persistent state, and
-//! unlike the WAL its 8-byte records carry no checksum — recovery
-//! relies on range validation and forest replay. This property test
-//! flips and truncates bytes anywhere in the file and asserts the
-//! reopened store never panics, only ever holds in-range edges forming
-//! a valid spanning forest, leaves the file at a record boundary, and
-//! recovers identically when reopened again.
+//! The boundary log is the only router-owned persistent state. It is an
+//! edge log in the WAL's format: a checksummed header naming the global
+//! vertex count, then one checksummed edge-batch record per
+//! `observe_batch` call that stored an edge. This property test logs
+//! edges over several calls, flips and truncates bytes anywhere in the
+//! file, and asserts the reopen never panics and either refuses a
+//! damaged header (leaving the file as it found it) or recovers a valid
+//! spanning forest that is exactly a forest replay of some prefix of
+//! the logged batches, with the file cut back to that prefix's records.
+//! A second reopen recovers identically, and the recovered store still
+//! accepts new cut edges.
 
 use std::sync::Mutex;
 
@@ -53,30 +57,61 @@ fn assert_valid_forest(store: &BoundaryStore, n: usize) {
     }
 }
 
+/// The edges a fresh cut-edge forest keeps when `batches` replay in
+/// order.
+fn forest_replay(batches: &[Vec<(Node, Node)>], n: usize) -> Vec<(Node, Node)> {
+    let mut uf = IncrementalCc::new(n);
+    batches
+        .iter()
+        .flatten()
+        .copied()
+        .filter(|&(u, v)| uf.insert(u, v))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn recovery_is_total_and_yields_a_valid_prefix_forest(
         n in 4usize..64,
-        edges in proptest::collection::vec((0u32..64, 0u32..64), 0..24),
+        calls in proptest::collection::vec(
+            proptest::collection::vec((0u32..64, 0u32..64), 0..8),
+            1..6,
+        ),
         flips in proptest::collection::vec((0usize..512, 1u8..=255), 0..6),
         cut in (any::<bool>(), 0usize..512),
     ) {
         let cut = cut.0.then_some(cut.1);
         let dir = tempdir();
         let path = dir.join(BOUNDARY_LOG);
-        let edges: Vec<(Node, Node)> =
-            edges.iter().map(|&(u, v)| (u % n as Node, v % n as Node)).collect();
+        let file_len = || std::fs::metadata(&path).unwrap().len() as usize;
+
+        // Log the edges over several calls. Each call that stores an
+        // edge appends one record holding exactly the edges it stored;
+        // `ends[k]` is the file length once k records are on it.
+        let mut logged: Vec<Vec<(Node, Node)>> = Vec::new();
+        let mut ends = Vec::new();
         {
             let store = BoundaryStore::with_log(n, &path).unwrap();
-            store.observe_batch(&edges);
+            ends.push(file_len());
+            for call in &calls {
+                let edges: Vec<(Node, Node)> =
+                    call.iter().map(|&(u, v)| (u % n as Node, v % n as Node)).collect();
+                let before = store.edge_count();
+                if store.observe_batch(&edges) > 0 {
+                    logged.push(store.snapshot_edges().1.split_off(before));
+                    ends.push(file_len());
+                }
+            }
             prop_assert_eq!(store.log_write_errors(), 0);
         }
+        let original = std::fs::read(&path).unwrap();
+        let header = original.get(..ends[0]);
 
         // Corrupt: flip bytes at arbitrary offsets, optionally chop the
         // tail at an arbitrary (not necessarily record-aligned) point.
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = original.clone();
         for &(at, xor) in &flips {
             if let Some(b) = bytes.get_mut(at % 512) {
                 *b ^= xor;
@@ -87,32 +122,34 @@ proptest! {
         }
         std::fs::write(&path, &bytes).unwrap();
 
-        // Recovery must be total and leave a valid store behind.
-        let store = BoundaryStore::with_log(n, &path).unwrap();
+        // A damaged header is refused, naming the file and leaving its
+        // bytes as they were. An empty file is a fresh log.
+        let header_damaged = !bytes.is_empty() && bytes.get(..ends[0]) != header;
+        let store = match BoundaryStore::with_log(n, &path) {
+            Err(e) => {
+                prop_assert!(header_damaged, "intact header refused: {}", e);
+                prop_assert_eq!(&e.path, &path);
+                prop_assert_eq!(std::fs::read(&path).unwrap(), bytes);
+                let _ = std::fs::remove_dir_all(&dir);
+                return Ok(());
+            }
+            Ok(store) => store,
+        };
+        prop_assert!(!header_damaged, "damaged header accepted");
         assert_valid_forest(&store, n);
         let first = store.snapshot_edges();
-        drop(store);
-        let len = std::fs::metadata(&path).unwrap().len();
-        prop_assert_eq!(len % 8, 0, "recovered log must end on a record boundary");
 
-        // Pure truncation (no flips) keeps a strict prefix: replaying
-        // the surviving whole records must give exactly what a fresh
-        // forest replay of those records gives.
-        if flips.is_empty() {
-            let mut uf = IncrementalCc::new(n);
-            let expect: Vec<(Node, Node)> = bytes
-                .chunks_exact(8)
-                .map(|rec| {
-                    let (a, b) = rec.split_at(4);
-                    (
-                        Node::from_le_bytes(a.try_into().unwrap()),
-                        Node::from_le_bytes(b.try_into().unwrap()),
-                    )
-                })
-                .filter(|&(u, v)| (u as usize) < n && (v as usize) < n && uf.insert(u, v))
-                .collect();
-            prop_assert_eq!(&first.1, &expect, "truncation must recover the record prefix");
+        // Prefix recovery: the forest is a forest replay of the first k
+        // logged batches, and the file is cut back to their records.
+        let k = (0..=logged.len()).find(|&k| forest_replay(&logged[..k], n) == first.1);
+        prop_assert!(k.is_some(), "recovered {:?}, not a replayed prefix of {:?}", first.1, logged);
+        let k = k.unwrap();
+        prop_assert_eq!(store.recovery().batches, k as u64);
+        if bytes == original {
+            prop_assert_eq!(k, logged.len(), "an untouched log must come back whole");
         }
+        drop(store);
+        prop_assert_eq!(std::fs::read(&path).unwrap(), original[..ends[k]].to_vec());
 
         // Idempotent: a second recovery sees exactly the same forest.
         let store = BoundaryStore::with_log(n, &path).unwrap();

@@ -8,15 +8,19 @@
 //! `IncrementalCc` oracle. Then SIGKILL one worker mid-serve, restart it
 //! from its WAL namespace on the same port, and require the router —
 //! whose per-shard clients reconnect and retry — to answer identically
-//! again. The router's `/metrics` sidecar must expose the
-//! `{shard="k"}`-labelled series throughout.
+//! again. Then SIGKILL the router itself and restart it over its own
+//! `--wal-dir` against the same workers: it must recover every boundary
+//! edge from `boundary.log`, validate its park logs' headers, and answer
+//! identically once more. The router's `/metrics` sidecar must expose
+//! the `{shard="k"}`-labelled series throughout.
 
 use crate::smoke::{cli_cmd, connect, shutdown_and_reap, Reaper};
 use afforest_core::IncrementalCc;
+use afforest_obs::registry::{parse_exposition, Scrape};
 use afforest_serve::http::http_get;
-use afforest_serve::RetryPolicy;
+use afforest_serve::{Client, RetryPolicy};
 use afforest_shard::ShardPlan;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Lines};
 use std::path::Path;
 use std::process::Stdio;
 use std::time::{Duration, Instant};
@@ -153,7 +157,7 @@ const REQUIRED_SERIES: [&str; 6] = [
     "afforest_boundary_edges",
 ];
 
-fn scrape_has_series(scrape_addr: &str) -> Result<(), String> {
+fn scrape_has_series(scrape_addr: &str) -> Result<Scrape, String> {
     let (status, scrape) = http_get(scrape_addr, "/metrics")?;
     if status != 200 {
         return Err(format!("scrape answered HTTP {status}"));
@@ -162,6 +166,108 @@ fn scrape_has_series(scrape_addr: &str) -> Result<(), String> {
         if !scrape.contains(series) {
             return Err(format!("scrape is missing the series {series}"));
         }
+    }
+    parse_exposition(&scrape)
+}
+
+/// A running router: its reaper, client and scrape addresses, the
+/// boundary edges it announced recovering at boot (0 on a fresh
+/// `--wal-dir`), and its stdout, kept open for its shutdown report.
+struct RouterProc {
+    child: Reaper,
+    addr: String,
+    scrape_addr: String,
+    recovered_boundary: u64,
+    _out: Lines<BufReader<std::process::ChildStdout>>,
+}
+
+/// Starts the router over `shard_addrs` with the metrics sidecar and
+/// state under `wal`. A generous retry budget is the point: it is what
+/// absorbs the worker kill below.
+fn spawn_router(root: &Path, shard_addrs: &str, wal: &str) -> Result<RouterProc, String> {
+    let n_s = N.to_string();
+    let mut child = Reaper(
+        cli_cmd(root, false)
+            .args([
+                "serve",
+                "--shard-addrs",
+                shard_addrs,
+                "--vertices",
+                &n_s,
+                "--addr",
+                "127.0.0.1:0",
+                "--workers",
+                "4",
+                "--metrics-addr",
+                "127.0.0.1:0",
+                "--wal-dir",
+                wal,
+                "--max-retries",
+                "60",
+            ])
+            .stdout(Stdio::piped())
+            .spawn()
+            .map_err(|e| format!("spawn router: {e}"))?,
+    );
+    let stdout = child.0.stdout.take().ok_or("router stdout not captured")?;
+    let mut lines = BufReader::new(stdout).lines();
+    let (mut addr, mut scrape_addr, mut recovered_boundary) = (None, None, 0);
+    while addr.is_none() || scrape_addr.is_none() {
+        let line = lines
+            .next()
+            .ok_or("router exited before announcing its addresses")?
+            .map_err(|e| format!("read router stdout: {e}"))?;
+        if let Some(rest) = line.strip_prefix("listening on ") {
+            addr = rest.split_whitespace().next().map(str::to_string);
+        } else if let Some(rest) = line.strip_prefix("metrics on http://") {
+            scrape_addr = rest.strip_suffix("/metrics").map(str::to_string);
+        } else if let Some(count) = line
+            .strip_prefix("recovered ")
+            .and_then(|rest| rest.strip_suffix(" boundary edge(s)"))
+        {
+            recovered_boundary = count
+                .parse()
+                .map_err(|_| format!("malformed recovery line: {line}"))?;
+        }
+    }
+    Ok(RouterProc {
+        child,
+        addr: addr.unwrap(),
+        scrape_addr: scrape_addr.unwrap(),
+        recovered_boundary,
+        _out: lines,
+    })
+}
+
+/// Client retries against the router: they ride out a restarting worker.
+const CLIENT_RETRY: RetryPolicy = RetryPolicy {
+    max_retries: 12,
+    backoff: Duration::from_millis(20),
+};
+
+/// The oracle's component count and the cross-shard probe, asked of
+/// the router after `event`.
+fn expect_oracle_answers(
+    client: &mut Client,
+    expected: u64,
+    (cu, cv): (u32, u32),
+    event: &str,
+) -> Result<(), String> {
+    let got = client
+        .num_components()
+        .map_err(|e| format!("num_components after {event}: {e}"))?;
+    if got != expected {
+        return Err(format!(
+            "after {event} the router reports {got} component(s), oracle has {expected}"
+        ));
+    }
+    if !client
+        .connected(cu, cv)
+        .map_err(|e| format!("connected after {event}: {e}"))?
+    {
+        return Err(format!(
+            "cross-shard edge ({cu}, {cv}) lost across the {event}"
+        ));
     }
     Ok(())
 }
@@ -190,50 +296,9 @@ fn shard(root: &Path) -> Result<(), String> {
     let (mut w0, a0, _out0) = spawn_worker(root, plan.shard_len(0), "127.0.0.1:0", &wal[0], &[])?;
     let (mut w1, a1, _out1) = spawn_worker(root, plan.shard_len(1), "127.0.0.1:0", &wal[1], &[])?;
 
-    // 2. The router, dialing both workers, with the metrics sidecar. A
-    // generous retry budget is the point: it is what absorbs the worker
-    // kill below.
+    // 2. The router, dialing both workers, with the metrics sidecar.
     let shard_addrs = format!("{a0},{a1}");
-    let n_s = N.to_string();
-    let mut router = Reaper(
-        cli_cmd(root, false)
-            .args([
-                "serve",
-                "--shard-addrs",
-                &shard_addrs,
-                "--vertices",
-                &n_s,
-                "--addr",
-                "127.0.0.1:0",
-                "--workers",
-                "4",
-                "--metrics-addr",
-                "127.0.0.1:0",
-                "--wal-dir",
-                &router_wal,
-                "--max-retries",
-                "60",
-            ])
-            .stdout(Stdio::piped())
-            .spawn()
-            .map_err(|e| format!("spawn router: {e}"))?,
-    );
-    let stdout = router.0.stdout.take().ok_or("router stdout not captured")?;
-    let mut lines = BufReader::new(stdout).lines();
-    let mut addr = None;
-    let mut scrape_addr = None;
-    while addr.is_none() || scrape_addr.is_none() {
-        let line = lines
-            .next()
-            .ok_or("router exited before announcing its addresses")?
-            .map_err(|e| format!("read router stdout: {e}"))?;
-        if let Some(rest) = line.strip_prefix("listening on ") {
-            addr = rest.split_whitespace().next().map(str::to_string);
-        } else if let Some(rest) = line.strip_prefix("metrics on http://") {
-            scrape_addr = rest.strip_suffix("/metrics").map(str::to_string);
-        }
-    }
-    let (addr, scrape_addr) = (addr.unwrap(), scrape_addr.unwrap());
+    let router = spawn_router(root, &shard_addrs, &router_wal)?;
 
     // 3. Ingest the deterministic workload through the router. The
     // client retries, and re-inserting an edge is idempotent for
@@ -246,10 +311,7 @@ fn shard(root: &Path) -> Result<(), String> {
             edges.len()
         ));
     }
-    let mut client = connect(&addr)?.with_retry(RetryPolicy {
-        max_retries: 12,
-        backoff: Duration::from_millis(20),
-    });
+    let mut client = connect(&router.addr)?.with_retry(CLIENT_RETRY);
     for chunk in edges.chunks(10) {
         let accepted = client
             .insert_edges(chunk)
@@ -296,14 +358,6 @@ fn shard(root: &Path) -> Result<(), String> {
     if expected <= 1 {
         return Err("oracle degenerated to one component; the assertion has no teeth".into());
     }
-    let got = client
-        .num_components()
-        .map_err(|e| format!("num_components: {e}"))?;
-    if got != expected {
-        return Err(format!(
-            "router reports {got} component(s), oracle has {expected}"
-        ));
-    }
     let labels = oracle.labels();
     let boundary = plan.shard_len(0) as u32;
     for u in [0, boundary - 1, boundary, (N - 1) as u32] {
@@ -315,17 +369,12 @@ fn shard(root: &Path) -> Result<(), String> {
             ));
         }
     }
-    let &(cu, cv) = edges
+    let &probe = edges
         .iter()
         .find(|&&(u, v)| plan.is_cut(u, v))
         .ok_or("no cut edge despite the count above")?;
-    if !client
-        .connected(cu, cv)
-        .map_err(|e| format!("connected: {e}"))?
-    {
-        return Err(format!("cross-shard edge ({cu}, {cv}) not connected"));
-    }
-    scrape_has_series(&scrape_addr)?;
+    expect_oracle_answers(&mut client, expected, probe, "ingest")?;
+    scrape_has_series(&router.scrape_addr)?;
 
     // 6. SIGKILL worker 1 — no drain, no goodbye — and restart it from
     // its WAL namespace on the same port. The router's shard client
@@ -333,28 +382,32 @@ fn shard(root: &Path) -> Result<(), String> {
     w1.0.kill().map_err(|e| format!("kill worker: {e}"))?;
     let _ = w1.0.wait();
     let (mut w1, _out1b) = respawn_worker(root, plan.shard_len(1), &a1, &wal[1])?;
-    let got = client
-        .num_components()
-        .map_err(|e| format!("num_components after restart: {e}"))?;
-    if got != expected {
-        return Err(format!(
-            "after worker restart the router reports {got} component(s), oracle has {expected}"
-        ));
-    }
-    if !client
-        .connected(cu, cv)
-        .map_err(|e| format!("connected after restart: {e}"))?
-    {
-        return Err(format!(
-            "cross-shard edge ({cu}, {cv}) lost across the worker restart"
-        ));
-    }
-    scrape_has_series(&scrape_addr)?;
+    expect_oracle_answers(&mut client, expected, probe, "worker restart")?;
+    let stored = scrape_has_series(&router.scrape_addr)?
+        .value("afforest_boundary_edges")
+        .ok_or("scrape has no boundary edge gauge value")?;
 
-    // 7. One Shutdown frame to the router tears the whole cluster down:
+    // 7. SIGKILL the router (dropping its reaper kills and reaps it) and
+    // restart it over its own --wal-dir against the same workers. It
+    // must announce every boundary edge the killed router had stored
+    // (replayed from boundary.log), open the park logs its first boot
+    // created, and answer as before.
+    drop(router);
+    let mut router = spawn_router(root, &shard_addrs, &router_wal)?;
+    if router.recovered_boundary == 0 || router.recovered_boundary != stored {
+        return Err(format!(
+            "restarted router recovered {} boundary edge(s); the killed one stored {stored}",
+            router.recovered_boundary
+        ));
+    }
+    let mut client = connect(&router.addr)?.with_retry(CLIENT_RETRY);
+    expect_oracle_answers(&mut client, expected, probe, "router restart")?;
+    scrape_has_series(&router.scrape_addr)?;
+
+    // 8. One Shutdown frame to the router tears the whole cluster down:
     // the router drains, stops its backend (which forwards Shutdown to
     // every worker), and all three processes exit cleanly.
-    shutdown_and_reap(&addr, &mut router)?;
+    shutdown_and_reap(&router.addr, &mut router.child)?;
     wait_exit("worker 0", &mut w0)?;
     wait_exit("worker 1", &mut w1)?;
 
@@ -363,7 +416,7 @@ fn shard(root: &Path) -> Result<(), String> {
     }
     println!(
         "==> sharded serving smoke: router + {SHARDS} workers served {INSERTS} edges ({cut} cut), \
-         survived a worker SIGKILL, {expected} component(s) == oracle"
+         survived a worker and a router SIGKILL, {expected} component(s) == oracle"
     );
     Ok(())
 }
