@@ -37,16 +37,18 @@ use crate::pass::{Context, Pass};
 pub const ID: &str = "panic-path";
 
 /// Files on the wire/disk byte path. Request framing and decode
-/// (`protocol.rs`), the edge-log codec and replay scan behind the WAL
-/// and the router's logs (`wal.rs`), the ingest queue between them
-/// (`ingest.rs`), the shard router front-end plus its boundary-edge
-/// store (`router.rs`, `boundary.rs`), which parse the same wire frames
-/// and replay `boundary.log`, and the failure domain that must stay
-/// total precisely when things are going wrong: the health machine
-/// (`health.rs`) and the park log, which replays arbitrary post-crash
-/// disk bytes (`park.rs`).
+/// (`protocol.rs`), the one TCP front-end whose frame loop reads those
+/// frames off every connection of a server or router (`frontend.rs`),
+/// the edge-log codec and replay scan behind the WAL and the router's
+/// logs (`wal.rs`), the ingest queue between them (`ingest.rs`), the
+/// shard router's request evaluation plus its boundary-edge store
+/// (`router.rs`, `boundary.rs`), which replays `boundary.log`, and the
+/// failure domain that must stay total precisely when things are going
+/// wrong: the health machine (`health.rs`) and the park log, which
+/// replays arbitrary post-crash disk bytes (`park.rs`).
 pub const PANIC_PATH_FILES: &[&str] = &[
     "crates/serve/src/protocol.rs",
+    "crates/serve/src/frontend.rs",
     "crates/serve/src/wal.rs",
     "crates/serve/src/ingest.rs",
     "crates/shard/src/router.rs",

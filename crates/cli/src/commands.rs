@@ -406,71 +406,108 @@ pub mod bench {
     }
 }
 
-/// `afforest serve <graph> [--addr HOST:PORT] [--workers N]
-/// [--max-batch-edges N] [--max-batch-delay-ms MS] [--wal-dir PATH]
-/// [--wal-snapshot-every N] [--max-queue-depth N]
-/// [--max-total-queue-depth N] [--max-tenants N] [--read-deadline-ms MS]
-/// [--faults SPEC] [--metrics-addr HOST:PORT] [--events-out PATH]
-/// [--trace-out PATH]`.
+/// `afforest serve` in one of three modes:
 ///
-/// Sharded modes add `--shards N` (in-process cluster) or
-/// `--shard-addrs LIST --vertices N` (remote workers), with the
-/// failure-domain knobs `--suspect-after N`, `--down-after N`,
-/// `--probe-interval-ms MS` and `--probe-deadline-ms MS` (see
-/// DESIGN.md §15).
+/// - standalone: `serve <graph>`, or `serve --vertices N` for an empty
+///   N-vertex graph (a shard worker);
+/// - a router over in-process engines: `serve <graph> --shards N`;
+/// - a router over running workers: `serve --shard-addrs LIST --vertices N`.
+///
+/// Every mode reads `--addr`, `--workers`, `--read-deadline-ms`,
+/// `--wal-dir`, `--metrics-addr`, `--events-out` and `--slow-log`. The
+/// engine modes (standalone and `--shards`) add the batching, queue and
+/// WAL-compaction flags; only standalone reads `--max-total-queue-depth`,
+/// `--max-tenants`, `--faults` and `--trace-out`. Both routers add the
+/// failure-domain knobs (DESIGN.md §15), and only `--shard-addrs` reads
+/// `--max-retries` and `--retry-backoff-us`. A mode refuses any flag it
+/// does not read.
 pub mod serve {
     use super::*;
     use afforest_core::IncrementalCc;
     use afforest_serve::config::DEFAULT_MAX_TENANTS;
     use afforest_serve::wal;
-    use afforest_serve::{events, BatchPolicy, FaultPlan, MetricsHttp, ServeConfig, Server};
+    use afforest_serve::{
+        events, BatchPolicy, Endpoint, FaultPlan, MetricsHttp, Request, Response, ServeConfig,
+        ServeConfigBuilder, Server, StatsReport,
+    };
+    use afforest_shard::{BoundaryStore, HealthConfig, Router, ShardBackend, ShardPlan};
     use std::io::Write as _;
     use std::net::TcpListener;
     use std::path::{Path, PathBuf};
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// Flags every mode reads, space-separated.
+    const FRONT: &str = "addr workers read-deadline-ms wal-dir metrics-addr events-out slow-log";
+    /// Flags of the modes that host ingest engines.
+    const ENGINE: &str = "max-batch-edges max-batch-delay-ms wal-snapshot-every max-queue-depth";
+    /// The routers' shard-health knobs.
+    const HEALTH: &str = "suspect-after down-after probe-interval-ms probe-deadline-ms";
+
+    /// How long shutdown waits for queued inserts to be published.
+    const DRAIN: Duration = Duration::from_secs(30);
+
     pub fn run(argv: &[String]) -> Result<String, String> {
         let args = ParsedArgs::parse(argv)?;
-        args.allow_flags(&[
-            "addr",
-            "workers",
-            "max-batch-edges",
-            "max-batch-delay-ms",
-            "wal-dir",
-            "wal-snapshot-every",
-            "max-queue-depth",
-            "max-total-queue-depth",
-            "max-tenants",
-            "read-deadline-ms",
-            "faults",
-            "metrics-addr",
-            "events-out",
-            "trace-out",
-            "slow-log",
-            "shards",
-            "shard-addrs",
-            "vertices",
-            "max-retries",
-            "retry-backoff-us",
-            "suspect-after",
-            "down-after",
-            "probe-interval-ms",
-            "probe-deadline-ms",
-        ])?;
-        // Sharded modes: `--shards N` hosts N shard engines in-process
-        // behind a router; `--shard-addrs LIST` routes to remote shard
-        // workers (each itself a `serve --vertices N` process).
         let shards: usize = args.flag_parsed("shards", 0usize)?;
-        if args.flag("shard-addrs").is_some() || shards > 0 {
-            return run_sharded(&args, shards.max(1));
+        if args.flag("shard-addrs").is_some() {
+            let own = "shard-addrs vertices max-retries retry-backoff-us";
+            allow(&args, "serve --shard-addrs", &[HEALTH, own])?;
+            remote_router(&args)
+        } else if shards > 0 {
+            allow(&args, "serve --shards", &[ENGINE, HEALTH, "shards"])?;
+            local_router(&args, shards)
+        } else {
+            // `--vertices` sizes a graph-less server; next to a graph it
+            // would be ignored.
+            let sizing = if args.num_positionals() == 0 {
+                "vertices"
+            } else {
+                ""
+            };
+            let own = "shards max-total-queue-depth max-tenants faults trace-out";
+            allow(&args, "serve", &[ENGINE, own, sizing])?;
+            standalone(&args)
         }
-        let slow_log = enable_slow_log(&args, "serve")?;
+    }
+
+    /// Refuses any flag outside [`FRONT`] and `mode`'s own lists.
+    fn allow(args: &ParsedArgs, mode: &str, own: &[&str]) -> Result<(), String> {
+        let allowed: Vec<&str> = [FRONT]
+            .iter()
+            .chain(own)
+            .flat_map(|list| list.split_whitespace())
+            .collect();
+        args.allow_flags(&allowed)
+            .map_err(|e| format!("{mode}: {e}"))
+    }
+
+    fn read_deadline(args: &ParsedArgs) -> Result<Option<Duration>, String> {
+        let ms: u64 = args.flag_parsed("read-deadline-ms", 0u64)?;
+        Ok((ms > 0).then(|| Duration::from_millis(ms)))
+    }
+
+    /// A standalone server over a graph's edges, or over an empty
+    /// `--vertices N` slice whose state arrives over the wire (and from
+    /// the WAL on restart) — typically one shard behind a
+    /// `--shard-addrs` router.
+    fn standalone(args: &ParsedArgs) -> Result<String, String> {
+        enable_slow_log(args, "serve")?;
+        let faults = match args.flag("faults") {
+            Some(spec) => Some(Arc::new(
+                FaultPlan::parse(spec).map_err(|e| format!("--faults: {e}"))?,
+            )),
+            None => None,
+        };
+        let config = engine_config(args)?
+            .max_total_queue_depth(args.flag_parsed("max-total-queue-depth", 0usize)?)
+            .max_tenants(args.flag_parsed("max-tenants", DEFAULT_MAX_TENANTS)?)
+            .read_deadline(read_deadline(args)?)
+            .faults(faults)
+            .build()
+            .map_err(|e| format!("invalid configuration: {e}"))?;
         let vertices: usize = args.flag_parsed("vertices", 0usize)?;
         let (path, n, edges) = if args.num_positionals() == 0 && vertices > 0 {
-            // Worker mode: an empty graph of `--vertices` vertices whose
-            // state arrives over the wire (and from the WAL on restart) —
-            // typically one shard slice behind a `--shard-addrs` router.
             ("(empty)".to_string(), vertices, Vec::new())
         } else {
             let path = args.positional(0, "graph")?;
@@ -478,48 +515,6 @@ pub mod serve {
             let n = g.num_vertices();
             (path.to_string(), n, g.collect_edges())
         };
-        let addr = args.flag("addr").unwrap_or("127.0.0.1:7878");
-        let workers: usize = args.flag_parsed("workers", 8)?;
-        let max_edges: usize = args.flag_parsed("max-batch-edges", 4096)?;
-        let max_delay_ms: u64 = args.flag_parsed("max-batch-delay-ms", 2)?;
-        if max_edges == 0 {
-            return Err("--max-batch-edges must be positive".into());
-        }
-        let snapshot_every: u64 = args.flag_parsed("wal-snapshot-every", 64u64)?;
-        let max_queue_depth: usize = args.flag_parsed("max-queue-depth", 0usize)?;
-        let max_total_queue_depth: usize = args.flag_parsed("max-total-queue-depth", 0usize)?;
-        let max_tenants: usize = args.flag_parsed("max-tenants", DEFAULT_MAX_TENANTS)?;
-        let read_deadline_ms: u64 = args.flag_parsed("read-deadline-ms", 0u64)?;
-        let faults = match args.flag("faults") {
-            Some(spec) => Some(Arc::new(
-                FaultPlan::parse(spec).map_err(|e| format!("--faults: {e}"))?,
-            )),
-            None => None,
-        };
-        let trace_out = args.flag("trace-out");
-        // The flight recorder dumps here on panic and on clean shutdown;
-        // next to the WAL by default, so a post-mortem finds both.
-        let events_out: Option<PathBuf> =
-            args.flag("events-out").map(PathBuf::from).or_else(|| {
-                args.flag("wal-dir")
-                    .map(|d| Path::new(d).join("flight.json"))
-            });
-
-        let config = ServeConfig::builder()
-            .policy(BatchPolicy {
-                max_edges,
-                max_delay: Duration::from_millis(max_delay_ms),
-                apply_delay: None,
-            })
-            .max_queue_depth(max_queue_depth)
-            .max_total_queue_depth(max_total_queue_depth)
-            .max_tenants(max_tenants)
-            .read_deadline((read_deadline_ms > 0).then(|| Duration::from_millis(read_deadline_ms)))
-            .wal_root(args.flag("wal-dir").map(PathBuf::from))
-            .wal_snapshot_every(snapshot_every)
-            .faults(faults)
-            .build()
-            .map_err(|e| format!("invalid configuration: {e}"))?;
         let server = match args.flag("wal-dir") {
             Some(dir) => {
                 let root = Path::new(dir);
@@ -564,82 +559,45 @@ pub mod serve {
         if restored > 1 {
             println!("restored {} persisted tenant(s)", restored - 1);
         }
-        let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-        let local = listener.local_addr().map_err(|e| e.to_string())?;
-
-        // The telemetry plane: an HTTP scrape sidecar (kept alive by the
-        // binding until shutdown) and the flight recorder's panic hook.
-        let metrics_http = match args.flag("metrics-addr") {
-            Some(maddr) => {
-                let http =
-                    MetricsHttp::spawn(maddr).map_err(|e| format!("bind metrics {maddr}: {e}"))?;
-                println!("metrics on http://{}/metrics", http.local_addr());
-                Some(http)
-            }
-            None => None,
-        };
-        if let Some(dest) = &events_out {
-            events::install_panic_hook(dest.clone());
-        }
-        if let Some(p) = &slow_log {
-            println!("slow request traces -> {}", p.display());
-        }
-        // Recovery and tenant replay are done; tell /readyz so.
-        afforest_serve::http::set_ready(true);
-
-        // Announce before blocking: `dispatch` only prints on return, but
-        // clients (and the CI smoke test) need the bound address now —
-        // `--addr` with port 0 picks an ephemeral port.
-        println!(
+        let banner = format!(
             "serving {path}: {n} vertices, {} edges ({} components)",
             edges.len(),
             server.snapshot().num_components()
         );
-        println!("listening on {local} ({workers} workers)");
-        let _ = std::io::stdout().flush();
-
-        let session = trace_out.map(|_| afforest_obs::Session::begin());
-        server
-            .serve_tcp(listener, workers)
-            .map_err(|e| format!("serve: {e}"))?;
-        // Shutdown was requested: let queued inserts finish, then report.
-        afforest_serve::http::set_ready(false);
-        server.flush(Duration::from_secs(30));
-        let trace = session.map(|s| s.end());
-        drop(metrics_http);
-
-        let stats = server.stats_report();
-        let mut out = String::new();
-        if let Some(dest) = &events_out {
-            match events::write_dump(dest) {
-                Ok(()) => {
-                    let _ = writeln!(out, "flight recording written to {}", dest.display());
-                }
-                Err(e) => {
-                    let _ = writeln!(out, "warning: flight recording {}: {e}", dest.display());
-                }
+        serve_until_shutdown(&server, args, &banner, args.flag("trace-out"), |server| {
+            server.flush(DRAIN);
+            let stats = server.stats_report();
+            let mut lines = String::new();
+            let shed = stats.requests_shed;
+            if shed > 0 {
+                let _ = writeln!(lines, "shed {shed} write request(s) at the admission bound");
             }
+            // A process total: every tenant's WAL, not only `default`'s.
+            let wal_errors = afforest_serve::metrics::metrics().wal_errors.get();
+            if wal_errors > 0 {
+                let _ = writeln!(lines, "warning: {wal_errors} wal append error(s)");
+            }
+            (Some(stats), lines)
+        })
+    }
+
+    /// The batching, admission and WAL settings of every engine this
+    /// process hosts.
+    fn engine_config(args: &ParsedArgs) -> Result<ServeConfigBuilder, String> {
+        let max_edges: usize = args.flag_parsed("max-batch-edges", 4096)?;
+        if max_edges == 0 {
+            return Err("--max-batch-edges must be positive".into());
         }
-        let _ = writeln!(out, "shutdown after epoch {}", stats.epoch);
-        let _ = writeln!(
-            out,
-            "ingested {} edge(s) over {} published epoch(s)",
-            stats.edges_ingested, stats.epochs_published
-        );
-        let shed = stats.requests_shed;
-        if shed > 0 {
-            let _ = writeln!(out, "shed {shed} write request(s) at the admission bound");
-        }
-        // A process total: every tenant's WAL, not only `default`'s.
-        let wal_errors = afforest_serve::metrics::metrics().wal_errors.get();
-        if wal_errors > 0 {
-            let _ = writeln!(out, "warning: {wal_errors} wal append error(s)");
-        }
-        if let Some(dest) = trace_out {
-            let trace = trace.expect("traced run kept its trace");
-            write_trace(dest, &trace.to_json(), trace.spans.len(), &mut out)?;
-        }
-        Ok(out)
+        let max_delay_ms: u64 = args.flag_parsed("max-batch-delay-ms", 2)?;
+        Ok(ServeConfig::builder()
+            .policy(BatchPolicy {
+                max_edges,
+                max_delay: Duration::from_millis(max_delay_ms),
+                apply_delay: None,
+            })
+            .max_queue_depth(args.flag_parsed("max-queue-depth", 0usize)?)
+            .wal_root(args.flag("wal-dir").map(PathBuf::from))
+            .wal_snapshot_every(args.flag_parsed("wal-snapshot-every", 64u64)?))
     }
 
     /// `--slow-log MS`: turns request tracing on with an `MS`-millisecond
@@ -647,12 +605,11 @@ pub mod serve {
     /// process's spans `node`, and sinks each retained tree as one JSON
     /// line (schema 1, [`slowlog_line`]) appended to
     /// `<wal-dir>/slowlog.jsonl` — `slowlog.jsonl` in the working
-    /// directory when there is no WAL. Returns the sink path when
-    /// tracing was enabled.
-    fn enable_slow_log(args: &ParsedArgs, node: &str) -> Result<Option<PathBuf>, String> {
+    /// directory when there is no WAL.
+    fn enable_slow_log(args: &ParsedArgs, node: &str) -> Result<(), String> {
         use afforest_obs::reqtrace;
         let Some(raw) = args.flag("slow-log") else {
-            return Ok(None);
+            return Ok(());
         };
         let ms: u64 = raw
             .parse()
@@ -665,142 +622,119 @@ pub mod serve {
             }
             None => PathBuf::from("slowlog.jsonl"),
         };
-        let sink = path.clone();
+        println!("slow request traces -> {}", path.display());
         reqtrace::set_slow_sink(move |tree| {
             if let Ok(mut f) = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(&sink)
+                .open(&path)
             {
                 let _ = writeln!(f, "{}", super::slowlog_line(tree));
             }
         });
         reqtrace::configure(Some(Duration::from_millis(ms)));
-        Ok(Some(path))
+        Ok(())
     }
 
-    /// The sharded serving modes behind `--shards` / `--shard-addrs`.
-    fn run_sharded(args: &ParsedArgs, shards: usize) -> Result<String, String> {
+    /// A router over running shard workers: the workers own the data;
+    /// the router holds only wire clients and the boundary store.
+    fn remote_router(args: &ParsedArgs) -> Result<String, String> {
         use afforest_serve::RetryPolicy;
-        use afforest_shard::{HealthConfig, LocalCluster, RemoteShards, Router, ShardPlan};
+        use afforest_shard::RemoteShards;
 
-        let slow_log = enable_slow_log(args, "router")?;
-        if let Some(p) = &slow_log {
-            println!("slow request traces -> {}", p.display());
+        enable_slow_log(args, "router")?;
+        if args.num_positionals() != 0 {
+            return Err("--shard-addrs and <graph> are mutually exclusive".into());
         }
-        let addr = args.flag("addr").unwrap_or("127.0.0.1:7878");
-        let workers: usize = args.flag_parsed("workers", 8)?;
-        let max_edges: usize = args.flag_parsed("max-batch-edges", 4096)?;
-        let max_delay_ms: u64 = args.flag_parsed("max-batch-delay-ms", 2)?;
-        if max_edges == 0 {
-            return Err("--max-batch-edges must be positive".into());
+        let n: usize = args.flag_parsed("vertices", 0usize)?;
+        if n == 0 {
+            return Err("--shard-addrs needs --vertices N (the global vertex count)".into());
         }
-        let snapshot_every: u64 = args.flag_parsed("wal-snapshot-every", 64u64)?;
-        let max_queue_depth: usize = args.flag_parsed("max-queue-depth", 0usize)?;
-        let read_deadline_ms: u64 = args.flag_parsed("read-deadline-ms", 0u64)?;
-        let read_deadline = (read_deadline_ms > 0).then(|| Duration::from_millis(read_deadline_ms));
-        let wal_dir = args.flag("wal-dir").map(PathBuf::from);
-        let metrics_addr = args.flag("metrics-addr");
-        // Failure-domain knobs: consecutive transport failures before a
-        // shard is Suspect / Down, how long the breaker stays open
-        // between probes, and how long an elected probe may hang before
-        // another caller reclaims it.
-        let defaults = HealthConfig::default();
-        let health = HealthConfig {
-            suspect_after: args.flag_parsed("suspect-after", defaults.suspect_after)?,
-            down_after: args.flag_parsed("down-after", defaults.down_after)?,
-            probe_interval: Duration::from_millis(args.flag_parsed(
-                "probe-interval-ms",
-                defaults.probe_interval.as_millis() as u64,
-            )?),
-            probe_deadline: Duration::from_millis(args.flag_parsed(
-                "probe-deadline-ms",
-                defaults.probe_deadline.as_millis() as u64,
-            )?),
+        let addrs: Vec<String> = args
+            .flag("shard-addrs")
+            .unwrap_or_default()
+            .split(',')
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .collect();
+        if addrs.is_empty() {
+            return Err("--shard-addrs: no addresses".into());
+        }
+        let retry = RetryPolicy {
+            max_retries: args.flag_parsed("max-retries", 40u32)?,
+            backoff: Duration::from_micros(args.flag_parsed("retry-backoff-us", 500u64)?),
         };
-        // As with the standalone server, the flight recorder dumps next
-        // to the WAL unless pointed elsewhere.
-        let events_out: Option<PathBuf> = args
-            .flag("events-out")
-            .map(PathBuf::from)
-            .or_else(|| wal_dir.as_deref().map(|d| d.join("flight.json")));
-
-        if let Some(list) = args.flag("shard-addrs") {
-            // Remote workers own the data; the router holds only wire
-            // clients and the boundary store.
-            if args.num_positionals() != 0 {
-                return Err("--shard-addrs and <graph> are mutually exclusive".into());
-            }
-            let n: usize = args.flag_parsed("vertices", 0usize)?;
-            if n == 0 {
-                return Err("--shard-addrs needs --vertices N (the global vertex count)".into());
-            }
-            let addrs: Vec<String> = list
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
-            if addrs.is_empty() {
-                return Err("--shard-addrs: no addresses".into());
-            }
-            let retry = RetryPolicy {
-                max_retries: args.flag_parsed("max-retries", 40u32)?,
-                backoff: Duration::from_micros(args.flag_parsed("retry-backoff-us", 500u64)?),
-            };
-            let plan = ShardPlan::new(n, addrs.len());
-            let shard_lens: Vec<usize> = (0..addrs.len()).map(|k| plan.shard_len(k)).collect();
-            // Connection is lazy: a worker that is down at boot leaves
-            // its shard Down (writes park, reads degrade) instead of
-            // failing the whole router.
-            let backend = RemoteShards::connect(&addrs, retry, Some(Duration::from_secs(5)));
-            let down = backend.down_at_boot();
-            let boundary = boundary_store(n, wal_dir.as_deref())?;
-            let park = park_set(&shard_lens, wal_dir.as_deref())?;
-            let banner = format!(
-                "routing {n} vertices across {} shard worker(s)",
-                addrs.len()
-            );
-            let router = Router::new(plan, boundary, backend, read_deadline)
-                .with_health_config(health)
-                .with_park(park);
-            for k in down {
-                println!("shard {k} unreachable; parking its writes until it returns");
-                router.mark_shard_down(k);
-            }
-            return serve_router(&router, addr, workers, metrics_addr, &banner, &events_out);
+        let plan = ShardPlan::new(n, addrs.len());
+        let shard_lens: Vec<usize> = (0..addrs.len()).map(|k| plan.shard_len(k)).collect();
+        // Connection is lazy: a worker that is down at boot leaves its
+        // shard Down (writes park, reads degrade) instead of failing the
+        // whole router.
+        let backend = RemoteShards::connect(&addrs, retry, Some(Duration::from_secs(5)));
+        let down = backend.down_at_boot();
+        let wal_dir = args.flag("wal-dir").map(Path::new);
+        let boundary = boundary_store(n, wal_dir)?;
+        let park = park_set(&shard_lens, wal_dir)?;
+        let router = router(args, plan, boundary, backend)?.with_park(park);
+        for k in down {
+            println!("shard {k} unreachable; parking its writes until it returns");
+            router.mark_shard_down(k);
         }
+        let banner = format!(
+            "routing {n} vertices across {} shard worker(s)",
+            addrs.len()
+        );
+        serve_until_shutdown(&router, args, &banner, None, finish_router)
+    }
 
-        // In-process cluster: split the seed graph into shard-local
-        // slices (cut edges seed the boundary store) and host one engine
-        // per shard behind the router.
+    /// A router over in-process shard engines: the seed graph is split
+    /// into shard-local slices (cut edges seed the boundary store) and
+    /// one engine per shard is hosted behind the router.
+    fn local_router(args: &ParsedArgs, shards: usize) -> Result<String, String> {
+        enable_slow_log(args, "router")?;
+        let config = engine_config(args)?
+            .build()
+            .map_err(|e| format!("invalid configuration: {e}"))?;
         let path = args.positional(0, "graph")?;
         let g = load_graph(path)?;
         let n = g.num_vertices();
         let edges = g.collect_edges();
         let plan = ShardPlan::new(n, shards);
-        let config = ServeConfig::builder()
-            .policy(BatchPolicy {
-                max_edges,
-                max_delay: Duration::from_millis(max_delay_ms),
-                apply_delay: None,
-            })
-            .max_queue_depth(max_queue_depth)
-            .wal_root(wal_dir.clone())
-            .wal_snapshot_every(snapshot_every)
-            .build()
-            .map_err(|e| format!("invalid configuration: {e}"))?;
         let routed = plan.split_batch(&edges);
-        let cluster = LocalCluster::new(&plan, &routed.per_shard, &config)
+        let cluster = afforest_shard::LocalCluster::new(&plan, &routed.per_shard, &config)
             .map_err(|e| format!("start shards: {e}"))?;
-        let boundary = boundary_store(n, wal_dir.as_deref())?;
+        let boundary = boundary_store(n, args.flag("wal-dir").map(Path::new))?;
         boundary.observe_batch(&routed.cut);
         let banner = format!(
             "serving {path} across {shards} shard(s): {n} vertices, {} edges ({} cut)",
             edges.len(),
             routed.cut.len()
         );
-        let router = Router::new(plan, boundary, cluster, read_deadline).with_health_config(health);
-        serve_router(&router, addr, workers, metrics_addr, &banner, &events_out)
+        let router = router(args, plan, boundary, cluster)?;
+        serve_until_shutdown(&router, args, &banner, None, finish_router)
+    }
+
+    /// A router with the front-end's read deadline and the failure-domain
+    /// knobs: consecutive transport failures before a shard is Suspect /
+    /// Down, how long the breaker stays open between probes, and how long
+    /// an elected probe may hang before another caller reclaims it.
+    fn router<B: ShardBackend>(
+        args: &ParsedArgs,
+        plan: ShardPlan,
+        boundary: BoundaryStore,
+        backend: B,
+    ) -> Result<Router<B>, String> {
+        let d = HealthConfig::default();
+        let health = HealthConfig {
+            suspect_after: args.flag_parsed("suspect-after", d.suspect_after)?,
+            down_after: args.flag_parsed("down-after", d.down_after)?,
+            probe_interval: Duration::from_millis(
+                args.flag_parsed("probe-interval-ms", d.probe_interval.as_millis() as u64)?,
+            ),
+            probe_deadline: Duration::from_millis(
+                args.flag_parsed("probe-deadline-ms", d.probe_deadline.as_millis() as u64)?,
+            ),
+        };
+        Ok(Router::new(plan, boundary, backend, read_deadline(args)?).with_health_config(health))
     }
 
     /// The router's parked-write backlog: durable per-shard `park-<k>.log`
@@ -834,15 +768,11 @@ pub mod serve {
     /// The router's boundary store: persistent under `--wal-dir`
     /// (replaying `boundary.log` from a previous incarnation), purely
     /// in-memory otherwise.
-    fn boundary_store(
-        n: usize,
-        wal_dir: Option<&Path>,
-    ) -> Result<afforest_shard::BoundaryStore, String> {
+    fn boundary_store(n: usize, wal_dir: Option<&Path>) -> Result<BoundaryStore, String> {
         match wal_dir {
             Some(root) => {
                 let path = root.join(afforest_shard::BOUNDARY_LOG);
-                let store =
-                    afforest_shard::BoundaryStore::with_log(n, &path).map_err(|e| e.to_string())?;
+                let store = BoundaryStore::with_log(n, &path).map_err(|e| e.to_string())?;
                 let replayed = store.edge_count();
                 if replayed > 0 || store.recovery().truncated {
                     println!(
@@ -852,50 +782,15 @@ pub mod serve {
                 }
                 Ok(store)
             }
-            None => Ok(afforest_shard::BoundaryStore::new(n)),
+            None => Ok(BoundaryStore::new(n)),
         }
     }
 
-    /// Binds, announces, serves and reports for a router front-end,
-    /// mirroring the standalone flow (same stdout lines the smoke tests
-    /// parse).
-    fn serve_router<B: afforest_shard::ShardBackend>(
-        router: &afforest_shard::Router<B>,
-        addr: &str,
-        workers: usize,
-        metrics_addr: Option<&str>,
-        banner: &str,
-        events_out: &Option<PathBuf>,
-    ) -> Result<String, String> {
-        use afforest_serve::{Request, Response};
-
-        let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-        let local = listener.local_addr().map_err(|e| e.to_string())?;
-        let metrics_http = match metrics_addr {
-            Some(maddr) => {
-                let http =
-                    MetricsHttp::spawn(maddr).map_err(|e| format!("bind metrics {maddr}: {e}"))?;
-                println!("metrics on http://{}/metrics", http.local_addr());
-                Some(http)
-            }
-            None => None,
-        };
-        if let Some(dest) = events_out {
-            events::install_panic_hook(dest.clone());
-        }
-        println!("{banner}");
-        println!("listening on {local} ({workers} workers)");
-        let _ = std::io::stdout().flush();
-
-        // Boot (park/boundary replay, shard dial) is done. A shard that
-        // came up Down still pulls /readyz to 503 via its health gauge.
-        afforest_serve::http::set_ready(true);
-        router
-            .serve_tcp(listener, workers)
-            .map_err(|e| format!("serve: {e}"))?;
-        // Shutdown was requested: drain every shard, then report.
-        afforest_serve::http::set_ready(false);
-        router.flush(Duration::from_secs(30));
+    /// A router's shutdown: drains every shard, reports the boundary and
+    /// any writes still parked for a down shard, then winds the shard
+    /// workers down.
+    fn finish_router<B: ShardBackend>(router: &Router<B>) -> (Option<StatsReport>, String) {
+        router.flush(DRAIN);
         let stats = match router.handle(&Request::Stats) {
             Response::Stats(s) => Some(s),
             // A shard can be down at shutdown; the surviving shards'
@@ -906,16 +801,86 @@ pub mod serve {
             },
             _ => None,
         };
-        let parked: Vec<(usize, usize, usize)> = (0..router.park().num_shards())
-            .map(|k| (k, router.park().depth(k), router.park().parked_edges(k)))
-            .filter(|&(_, batches, _)| batches > 0)
-            .collect();
-        let boundary_edges = router.boundary().edge_count();
+        let mut lines = String::new();
+        let _ = writeln!(
+            lines,
+            "boundary holds {} cut edge(s)",
+            router.boundary().edge_count()
+        );
+        let park = router.park();
+        for k in (0..park.num_shards()).filter(|&k| park.depth(k) > 0) {
+            let _ = writeln!(
+                lines,
+                "shard {k} still down: {} batch(es) ({} edge(s)) parked for replay",
+                park.depth(k),
+                park.parked_edges(k)
+            );
+        }
         router.shutdown_backend();
+        (stats, lines)
+    }
+
+    /// The flow every mode shares once its endpoint is built: bind,
+    /// start the metrics sidecar and the flight recorder's panic hook,
+    /// announce, serve until `Shutdown`, then report. `finish` drains the
+    /// endpoint and returns its final stats (`None` when no shard
+    /// answered) and the mode's own report lines, which follow the
+    /// shared shutdown lines.
+    fn serve_until_shutdown<E: Endpoint>(
+        endpoint: &E,
+        args: &ParsedArgs,
+        banner: &str,
+        trace_out: Option<&str>,
+        finish: impl FnOnce(&E) -> (Option<StatsReport>, String),
+    ) -> Result<String, String> {
+        let addr = args.flag("addr").unwrap_or("127.0.0.1:7878");
+        let workers: usize = args.flag_parsed("workers", 8)?;
+        // The flight recorder dumps here on panic and on clean shutdown;
+        // next to the WAL by default, so a post-mortem finds both.
+        let events_out: Option<PathBuf> =
+            args.flag("events-out").map(PathBuf::from).or_else(|| {
+                args.flag("wal-dir")
+                    .map(|d| Path::new(d).join("flight.json"))
+            });
+        let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+        let local = listener.local_addr().map_err(|e| e.to_string())?;
+        // The telemetry plane: an HTTP scrape sidecar (kept alive by the
+        // binding until shutdown) and the flight recorder's panic hook.
+        let metrics_http = match args.flag("metrics-addr") {
+            Some(maddr) => {
+                let http =
+                    MetricsHttp::spawn(maddr).map_err(|e| format!("bind metrics {maddr}: {e}"))?;
+                println!("metrics on http://{}/metrics", http.local_addr());
+                Some(http)
+            }
+            None => None,
+        };
+        if let Some(dest) = &events_out {
+            events::install_panic_hook(dest.clone());
+        }
+        // Boot (WAL, park and boundary replay, shard dial) is done; tell
+        // /readyz so. A router shard that came up Down still pulls it to
+        // 503 via its health gauge.
+        afforest_serve::http::set_ready(true);
+        // Announce before blocking: `dispatch` only prints on return, but
+        // clients (and the CI smoke tests) need the bound address now —
+        // `--addr` with port 0 picks an ephemeral port.
+        println!("{banner}");
+        println!("listening on {local} ({workers} workers)");
+        let _ = std::io::stdout().flush();
+
+        let session = trace_out.map(|_| afforest_obs::Session::begin());
+        endpoint
+            .serve_tcp(listener, workers)
+            .map_err(|e| format!("serve: {e}"))?;
+        // Shutdown was requested: let queued inserts finish, then report.
+        afforest_serve::http::set_ready(false);
+        let (stats, lines) = finish(endpoint);
+        let trace = session.map(|s| s.end());
         drop(metrics_http);
 
         let mut out = String::new();
-        if let Some(dest) = events_out {
+        if let Some(dest) = &events_out {
             match events::write_dump(dest) {
                 Ok(()) => {
                     let _ = writeln!(out, "flight recording written to {}", dest.display());
@@ -925,22 +890,22 @@ pub mod serve {
                 }
             }
         }
-        if let Some(s) = stats {
-            let _ = writeln!(out, "shutdown after epoch {}", s.epoch);
-            let _ = writeln!(
-                out,
-                "ingested {} edge(s) over {} published epoch(s)",
-                s.edges_ingested, s.epochs_published
-            );
-        } else {
-            let _ = writeln!(out, "shutdown");
+        match stats {
+            Some(s) => {
+                let _ = writeln!(out, "shutdown after epoch {}", s.epoch);
+                let _ = writeln!(
+                    out,
+                    "ingested {} edge(s) over {} published epoch(s)",
+                    s.edges_ingested, s.epochs_published
+                );
+            }
+            None => {
+                let _ = writeln!(out, "shutdown");
+            }
         }
-        let _ = writeln!(out, "boundary holds {boundary_edges} cut edge(s)");
-        for (k, batches, edges) in parked {
-            let _ = writeln!(
-                out,
-                "shard {k} still down: {batches} batch(es) ({edges} edge(s)) parked for replay"
-            );
+        out.push_str(&lines);
+        if let (Some(dest), Some(trace)) = (trace_out, trace) {
+            write_trace(dest, &trace.to_json(), trace.spans.len(), &mut out)?;
         }
         Ok(out)
     }
@@ -2265,6 +2230,85 @@ mod tests {
             serve::run(&argv(&[&p, "--shards", "2", "--addr", "999.999.999.999:0"])).unwrap_err();
         std::fs::remove_file(&p).unwrap();
         assert!(err.contains("bind"), "{err}");
+    }
+
+    /// Runs `serve` with `base` plus `--flag value`, pointed at an
+    /// unbindable address so that a flag the mode accepted fails at the
+    /// bind instead of serving; returns the error.
+    fn serve_error_with(base: &[&str], flag: &str, value: &str) -> String {
+        let mut parts = base.to_vec();
+        parts.extend(["--addr", "999.999.999.999:0", flag, value]);
+        serve::run(&argv(&parts)).unwrap_err()
+    }
+
+    /// Asserts `serve` refuses each of `ignored` (with a value the mode
+    /// would otherwise parse fine), naming the flag.
+    fn assert_refused(base: &[&str], ignored: &[(&str, &str)]) {
+        for &(flag, value) in ignored {
+            let err = serve_error_with(base, flag, value);
+            assert!(
+                err.contains(&format!("unknown flag {flag} ")),
+                "{flag}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn serve_standalone_refuses_router_flags() {
+        let p = sample_graph_file("servestandaloneflags.el");
+        assert_refused(
+            &[&p],
+            &[
+                ("--max-retries", "3"),
+                ("--retry-backoff-us", "100"),
+                ("--suspect-after", "1"),
+                ("--down-after", "2"),
+                ("--probe-interval-ms", "100"),
+                ("--probe-deadline-ms", "100"),
+                // A graph fixes the vertex count.
+                ("--vertices", "8"),
+            ],
+        );
+        // Without a graph, `--vertices` sizes the server: accepted.
+        let err = serve_error_with(&[], "--vertices", "8");
+        std::fs::remove_file(&p).unwrap();
+        assert!(err.contains("bind"), "{err}");
+    }
+
+    #[test]
+    fn serve_shards_refuses_flags_it_ignores() {
+        let p = sample_graph_file("serveshardsflags.el");
+        assert_refused(
+            &[&p, "--shards", "2"],
+            &[
+                ("--faults", "seed=7"),
+                ("--trace-out", "trace.json"),
+                ("--max-tenants", "4"),
+                ("--max-total-queue-depth", "64"),
+                ("--vertices", "8"),
+                ("--max-retries", "3"),
+                ("--retry-backoff-us", "100"),
+            ],
+        );
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn serve_shard_addrs_refuses_flags_it_ignores() {
+        assert_refused(
+            &["--shard-addrs", "127.0.0.1:1", "--vertices", "8"],
+            &[
+                ("--faults", "seed=7"),
+                ("--trace-out", "trace.json"),
+                ("--max-tenants", "4"),
+                ("--max-total-queue-depth", "64"),
+                ("--max-batch-edges", "64"),
+                ("--max-batch-delay-ms", "1"),
+                ("--wal-snapshot-every", "8"),
+                ("--max-queue-depth", "64"),
+                ("--shards", "2"),
+            ],
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! afforest serve    <graph> [--addr HOST:PORT] [--workers N] [--wal-dir PATH]
 //!                   [--max-queue-depth N] [--faults SPEC]
 //!                   [--metrics-addr HOST:PORT] [--events-out PATH]
-//!                   [--trace-out PATH] [--shards N]
+//!                   [--trace-out PATH]                   (standalone server)
 //! afforest serve    --vertices N [--addr HOST:PORT] …   (shard worker)
+//! afforest serve    <graph> --shards N …                (in-process shard router)
 //! afforest serve    --shard-addrs A,B,… --vertices N …  (shard router)
 //! afforest distrib-cc <graph> [--ranks P] [--partition block|hash|bfs]
 //! afforest recover  [<graph>] [--wal-dir PATH] [--events PATH]
@@ -49,31 +50,29 @@ commands:
   convert  <in> <out>                       format conversion by extension
   bench    <graph> [--trials N]             time every algorithm on the graph
            [--trace-out PATH]
-  serve    <graph> [--addr HOST:PORT]       connectivity query service over TCP
-           [--workers N] [--max-batch-edges N]
-           [--max-batch-delay-ms MS]
-           [--wal-dir PATH]                 durability: log batches, recover on
-           [--wal-snapshot-every N]         restart, compact every N batches
-           [--max-queue-depth N]            shed inserts past N queued edges
+  serve    <graph> [--addr HOST:PORT]       connectivity query service over TCP;
+           [--workers N] [--wal-dir PATH]   every mode reads these seven flags
            [--read-deadline-ms MS]          drop connections idle past MS
-           [--faults SPEC]                  chaos injection, e.g.
-                                            seed=7,torn_frame=0.05,kill_worker=0.1
            [--metrics-addr HOST:PORT]       HTTP sidecar serving GET /metrics
            [--events-out PATH]              flight-recorder dump on panic and
                                             shutdown (default <wal-dir>/flight.json)
-           [--trace-out PATH]
            [--slow-log MS]                  retain request traces slower than MS
                                             (0 = all) -> <wal-dir>/slowlog.jsonl
-           [--shards N]                     split the graph across N in-process
-                                            shard engines behind a router
-           [--vertices N]                   no graph: serve an empty N-vertex
-                                            slice (a shard worker)
-           [--shard-addrs A,B,…]            route to running shard workers
-                                            (requires --vertices; no graph)
+         standalone and --shards add:
+           [--max-batch-edges N] [--max-batch-delay-ms MS]
+           [--wal-snapshot-every N]         compact the WAL every N batches
+           [--max-queue-depth N]            shed inserts past N queued edges
+         standalone adds:
+           [--vertices N]                   no graph: an empty N-vertex shard worker
+           [--max-total-queue-depth N] [--max-tenants N] [--trace-out PATH]
+           [--faults SPEC]                  chaos, e.g. seed=7,torn_frame=0.05
+         routers: --shards N (in-process engines), --shard-addrs A,B,… --vertices N
            [--suspect-after N]              shard health: failures before
            [--down-after N]                 Suspect / before the breaker opens
            [--probe-interval-ms MS]         and the probe cadence while Down
            [--probe-deadline-ms MS]         reclaim a hung probe after MS
+         --shard-addrs adds: [--max-retries N] [--retry-backoff-us US]
+         a flag the chosen mode does not read is refused
   distrib-cc <graph> [--ranks P]            BSP forest-merge connectivity with
            [--partition block|hash|bfs]     exact communication accounting
   recover  [<graph>] [--wal-dir PATH]       offline WAL replay + parked-write

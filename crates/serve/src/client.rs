@@ -438,6 +438,7 @@ fn unexpected(req: &str, resp: &Response) -> ClientError {
 mod tests {
     use super::*;
     use crate::config::ServeConfig;
+    use crate::frontend::Endpoint;
     use crate::ingest::BatchPolicy;
     use crate::server::Server;
     use std::net::TcpListener;

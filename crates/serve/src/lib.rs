@@ -22,8 +22,11 @@
 //!   process-wide admission backstop. The [`Engine`] type itself is
 //!   re-exported so embedders (the shard router) can run engines
 //!   without a TCP front-end via [`Engine::standalone`].
-//! - [`server`] — tenant lifecycle, the transport-independent request
-//!   evaluator, and a worker-pool TCP front-end over `std::net`.
+//! - [`server`] — tenant lifecycle and the transport-independent
+//!   request evaluator.
+//! - [`frontend`] — the worker-pool TCP front-end over `std::net`: one
+//!   accept pool and one frame loop serving any [`Endpoint`]. The
+//!   [`Server`] and the shard router are its two endpoints.
 //! - [`client`] — the typed protocol client: connect / per-request
 //!   methods / retry with capped jittered backoff.
 //! - [`loadgen`] — a mixed-read/write workload driver reporting
@@ -44,7 +47,7 @@
 //!   Prometheus text exposition for scrapers and `afforest top`.
 //!
 //! ```
-//! use afforest_serve::{Request, Response, ServeConfig, Server, TenantId};
+//! use afforest_serve::{Endpoint, Request, Response, ServeConfig, Server, TenantId};
 //!
 //! let server = Server::new(4, &[(0, 1)], ServeConfig::builder().build().unwrap()).unwrap();
 //! assert_eq!(server.handle(&Request::Connected(0, 1)), Response::Connected(true));
@@ -65,6 +68,7 @@ pub mod config;
 mod engine;
 pub mod events;
 pub mod faults;
+pub mod frontend;
 pub mod http;
 pub mod ingest;
 pub mod loadgen;
@@ -80,6 +84,7 @@ pub use config::{ServeConfig, ServeConfigBuilder, ServeConfigError};
 pub use engine::Engine;
 pub use events::{Dump, DumpEvent, EventKind};
 pub use faults::{ClusterFault, FaultConfig, FaultPlan, InjectedCounts, WalFault};
+pub use frontend::Endpoint;
 pub use http::MetricsHttp;
 pub use ingest::BatchPolicy;
 pub use loadgen::{LoadgenConfig, LoadgenReport, Transport};

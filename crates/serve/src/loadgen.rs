@@ -494,6 +494,7 @@ fn call_with_retry<T: Transport>(
 mod tests {
     use super::*;
     use crate::config::ServeConfig;
+    use crate::frontend::Endpoint;
     use crate::ingest::BatchPolicy;
 
     fn tiny_server(n: usize) -> Server {

@@ -1,52 +1,39 @@
-//! The service runtime: tenant routing, the TCP front-end, and the
-//! process-wide lifecycle.
+//! The service runtime: tenant routing and the process-wide lifecycle.
 //!
 //! Since the multi-tenant refactor the server owns no graph state of its
 //! own: every snapshot store, ingest queue, and writer thread lives in a
 //! per-tenant [`crate::engine::Engine`], and the server is the
 //! [`EngineRegistry`] that routes to them plus the shared concerns — the
-//! TCP accept pool, the shutdown flag, the read deadline, the
-//! process-wide admission backstop, and tenant lifecycle (create / drop
-//! / list) itself.
+//! shutdown flag, the read deadline, the process-wide admission
+//! backstop, and tenant lifecycle (create / drop / list) itself.
 //!
-//! Wire compatibility: the TCP layer decodes *either* protocol version.
-//! A v1 frame (no tenant envelope) is routed to the `default` tenant and
-//! answered in v1; a v2 frame names its tenant and is answered in v2. A
-//! pre-tenancy client binary therefore keeps working unmodified.
+//! Wire compatibility: the server is one [`Endpoint`] of the shared TCP
+//! front-end ([`crate::frontend`]), which decodes *either* protocol
+//! version. A v1 frame (no tenant envelope) is routed to the `default`
+//! tenant and answered in v1; a v2 frame names its tenant and is
+//! answered in v2. A pre-tenancy client binary therefore keeps working
+//! unmodified.
 //!
-//! [`Server::handle_for`] is the transport-independent request
-//! evaluator; the TCP layer and the deterministic in-process tests both
-//! go through it.
+//! [`Endpoint::handle_for`] is the transport-independent request
+//! evaluator; the TCP front-end and the deterministic in-process tests
+//! both go through it.
 
 use crate::config::ServeConfig;
 use crate::engine::{AdmitError, Backstop, Engine, EngineRegistry};
 use crate::events::{self, EventKind};
+use crate::faults::FaultPlan;
+use crate::frontend::Endpoint;
 use crate::metrics::{metrics, op_index};
-use crate::protocol::{
-    decode_request_traced, encode_response, encode_response_v2, read_frame, write_frame,
-    FrameError, Request, Response, StatsReport, WireError, WireVersion,
-};
+use crate::protocol::{Request, Response, StatsReport};
 use crate::snapshot::Snapshot;
 use crate::tenant::TenantId;
 use crate::wal::{self, Wal, WalError};
 use afforest_core::IncrementalCc;
 use afforest_graph::Node;
-use afforest_obs::reqtrace::{self, RootSpan, Stage};
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use afforest_obs::reqtrace::{self, Stage};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
-
-/// How long a blocked worker sleeps between accept attempts / shutdown
-/// checks.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
-/// Per-connection read timeout, so a parked reader re-checks the shutdown
-/// flag. Requests are single small frames, so a timeout mid-frame only
-/// happens when the peer itself stalled mid-write.
-const READ_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Largest vertex universe a `CreateTenant` request may ask for; vertex
 /// ids are `u32`, so anything past this could never be addressed.
@@ -239,44 +226,11 @@ impl Server {
         self.registry.list()
     }
 
-    /// Whether a `Shutdown` request has been received.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
-    }
-
-    /// Requests shutdown (same effect as a `Shutdown` frame).
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-    }
-
     /// Evaluates one request against the `default` tenant — the v1
     /// compatibility path, and what in-process single-tenant callers
     /// use.
     pub fn handle(&self, req: &Request) -> Response {
         self.handle_for(&TenantId::default_tenant(), req)
-    }
-
-    /// Evaluates one request against `tenant`'s engine. This is the
-    /// transport-independent core: the TCP front-end and in-process
-    /// tests both call it. Never panics; unanswerable requests become
-    /// [`Response::Err`].
-    ///
-    /// Every call lands in the live telemetry plane: one per-op request
-    /// counter and one per-op latency histogram (process-wide), plus the
-    /// routed tenant's `tenant="..."`-labelled request counter.
-    pub fn handle_for(&self, tenant: &TenantId, req: &Request) -> Response {
-        let op = op_index(req);
-        let start = Instant::now();
-        let resp = self.handle_inner(tenant, req);
-        let m = metrics();
-        m.requests[op].inc();
-        // The latency sample doubles as the histogram's exemplar when the
-        // request is traced: /metrics then links p99 to a trace id.
-        m.latency[op].record_traced(
-            start.elapsed().as_nanos() as u64,
-            reqtrace::current().trace_id,
-        );
-        resp
     }
 
     fn handle_inner(&self, tenant: &TenantId, req: &Request) -> Response {
@@ -410,150 +364,6 @@ impl Server {
         true
     }
 
-    /// Serves `listener` with a pool of `workers` accept threads until a
-    /// `Shutdown` request arrives. Each worker handles one connection at a
-    /// time, so the pool size bounds concurrent connections.
-    pub fn serve_tcp(&self, listener: TcpListener, workers: usize) -> Result<(), ServeError> {
-        listener.set_nonblocking(true)?;
-        let mut spawn_failed = false;
-        thread::scope(|s| {
-            for i in 0..workers.max(1) {
-                let listener = &listener;
-                let spawned = thread::Builder::new()
-                    .name(format!("afforest-serve-worker-{i}"))
-                    .spawn_scoped(s, move || self.accept_loop(listener, i));
-                if spawned.is_err() {
-                    // Tell the workers that did start to exit; the scope
-                    // then joins them and we report the failure.
-                    spawn_failed = true;
-                    self.request_shutdown();
-                    break;
-                }
-            }
-        });
-        if spawn_failed {
-            return Err(ServeError::Spawn {
-                what: "accept worker",
-            });
-        }
-        Ok(())
-    }
-
-    fn accept_loop(&self, listener: &TcpListener, worker: usize) {
-        while !self.shutdown_requested() {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    // Chaos: a worker may die instead of serving. The rest
-                    // of the pool (and the listener) keep going.
-                    if let Some(f) = self.config.faults.as_deref() {
-                        if f.should_kill_worker() {
-                            metrics().worker_deaths.inc();
-                            events::record(EventKind::WorkerDeath, [worker as u64, 0, 0]);
-                            return;
-                        }
-                    }
-                    metrics().connections.inc();
-                    self.serve_connection(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-                // Transient accept failure (e.g. the peer aborted the
-                // handshake): back off briefly and keep serving.
-                Err(_) => thread::sleep(ACCEPT_POLL),
-            }
-        }
-    }
-
-    /// Runs one connection's request/response loop until the peer closes,
-    /// the stream desynchronizes, or shutdown is requested. Each frame is
-    /// answered in the wire version it arrived in.
-    fn serve_connection(&self, mut stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-        let _ = stream.set_nodelay(true);
-        let mut last_activity = Instant::now();
-        while !self.shutdown_requested() {
-            let payload = match read_frame(&mut stream) {
-                Ok(Some(payload)) => payload,
-                // Peer closed between frames.
-                Ok(None) => return,
-                // Read timeout: enforce the idle deadline, else loop to
-                // re-check the shutdown flag.
-                Err(WireError::Io(e))
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if let Some(deadline) = self.config.read_deadline {
-                        if last_activity.elapsed() >= deadline {
-                            return;
-                        }
-                    }
-                    continue;
-                }
-                // Socket died.
-                Err(WireError::Io(_)) => return,
-                // Unframeable bytes: report, then drop the connection (a
-                // bad length prefix means the stream is desynchronized).
-                Err(WireError::Frame(e)) => {
-                    metrics().protocol_errors.inc();
-                    let _ = write_frame(&mut stream, &encode_response(&frame_err(&e)));
-                    return;
-                }
-            };
-            last_activity = Instant::now();
-            metrics().bytes_read.add(4 + payload.len() as u64);
-            let _span = afforest_obs::span!("serve-request");
-            // A malformed payload inside a well-delimited frame keeps the
-            // stream in sync: answer Err and keep going.
-            let (encoded, done) = match decode_request_traced(&payload) {
-                Ok((version, tenant, ctx, req)) => {
-                    // One root span per frame: children recorded while it
-                    // is open (queue pushes, the engine's writer stages)
-                    // hang off it, and the whole tree is retained only if
-                    // the request was slow or degraded (tail sampling).
-                    let root = RootSpan::begin(ctx, Stage::ShardRequest);
-                    let _trace_scope = reqtrace::scoped(root.ctx());
-                    let resp = self.handle_for(&tenant, &req);
-                    if matches!(
-                        resp,
-                        Response::Err(_) | Response::Overloaded { .. } | Response::Degraded(_)
-                    ) {
-                        root.force_retain();
-                    }
-                    let done = matches!(resp, Response::Bye);
-                    let encoded = match version {
-                        WireVersion::V1 => encode_response(&resp),
-                        WireVersion::V2 => encode_response_v2(&resp),
-                    };
-                    (encoded, done)
-                }
-                Err(e) => {
-                    metrics().protocol_errors.inc();
-                    (encode_response(&frame_err(&e)), false)
-                }
-            };
-            // Chaos: tear the response frame mid-write. A torn frame
-            // desynchronizes the stream, so the connection dies with it —
-            // exactly what a crashed server looks like to the client.
-            if let Some(f) = self.config.faults.as_deref() {
-                if let Some(keep) = f.on_frame(4 + encoded.len()) {
-                    let mut framed = (encoded.len() as u32).to_le_bytes().to_vec();
-                    framed.extend_from_slice(&encoded);
-                    let _ = stream.write_all(&framed[..keep]);
-                    metrics().bytes_written.add(keep as u64);
-                    return;
-                }
-            }
-            if write_frame(&mut stream, &encoded).is_err() {
-                return;
-            }
-            metrics().bytes_written.add(4 + encoded.len() as u64);
-            if done {
-                return;
-            }
-        }
-    }
-
     /// Stops every tenant's writer (applying any still-queued edges
     /// first) and joins them. Idempotent.
     pub fn join_writer(&mut self) {
@@ -566,6 +376,42 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.join_writer();
+    }
+}
+
+impl Endpoint for Server {
+    const ROOT_STAGE: Stage = Stage::ShardRequest;
+
+    /// Evaluates one request against `tenant`'s engine.
+    ///
+    /// Every call lands in the live telemetry plane: one per-op request
+    /// counter and one per-op latency histogram (process-wide), plus the
+    /// routed tenant's `tenant="..."`-labelled request counter.
+    fn handle_for(&self, tenant: &TenantId, req: &Request) -> Response {
+        let op = op_index(req);
+        let start = Instant::now();
+        let resp = self.handle_inner(tenant, req);
+        let m = metrics();
+        m.requests[op].inc();
+        // The latency sample doubles as the histogram's exemplar when the
+        // request is traced: /metrics then links p99 to a trace id.
+        m.latency[op].record_traced(
+            start.elapsed().as_nanos() as u64,
+            reqtrace::current().trace_id,
+        );
+        resp
+    }
+
+    fn shutdown_flag(&self) -> &AtomicBool {
+        &self.shutdown
+    }
+
+    fn read_deadline(&self) -> Option<Duration> {
+        self.config.read_deadline
+    }
+
+    fn faults(&self) -> Option<&FaultPlan> {
+        self.config.faults.as_deref()
     }
 }
 
@@ -585,10 +431,6 @@ fn open_tenant_wal(
         root.join(tenant.as_str())
     };
     Ok(Some(Wal::open(&dir, vertices, config.wal_snapshot_every)?))
-}
-
-fn frame_err(e: &FrameError) -> Response {
-    Response::Err(e.to_string())
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 
 use afforest_serve::protocol::call;
 use afforest_serve::wal::{self, recover};
+use afforest_serve::Endpoint;
 use afforest_serve::{BatchPolicy, FaultPlan, Request, Response, ServeConfig, Server};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;

@@ -9,6 +9,7 @@
 use afforest_obs::{flight, registry};
 use afforest_serve::events::{self, fault_site};
 use afforest_serve::loadgen::{run, LoadgenConfig};
+use afforest_serve::Endpoint;
 use afforest_serve::{BatchPolicy, Client, FaultPlan, Request, Response, ServeConfig, Server};
 use std::path::PathBuf;
 use std::sync::Arc;

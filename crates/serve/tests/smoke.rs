@@ -2,6 +2,7 @@
 //! port, driven by real clients through the wire protocol.
 
 use afforest_serve::protocol::write_frame;
+use afforest_serve::Endpoint;
 use afforest_serve::{Client, ClientError, LoadgenConfig, Request, Response, ServeConfig, Server};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;

@@ -9,6 +9,7 @@
 use afforest_obs::registry;
 use afforest_serve::http::{http_get, MetricsHttp};
 use afforest_serve::protocol::call;
+use afforest_serve::Endpoint;
 use afforest_serve::{Request, Response, ServeConfig, Server};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;

@@ -7,6 +7,7 @@ use afforest_serve::protocol::{
     encode_response, encode_response_v2, StatsReport, WireVersion,
 };
 use afforest_serve::wal::{self, recover, LOG_FILE};
+use afforest_serve::Endpoint;
 use afforest_serve::{BatchPolicy, Request, Response, ServeConfig, Server, TenantId};
 use proptest::prelude::*;
 use std::path::PathBuf;

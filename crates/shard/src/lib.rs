@@ -30,7 +30,9 @@
 //!   for a Down shard, replayed in order on recovery (WAL-format
 //!   edge logs, torn-tail tolerant).
 //! - [`router`] — the [`Router`]: request dispatch, the composite
-//!   cache, degraded reads and write parking, and the TCP front-end.
+//!   cache, degraded reads and write parking. It is an
+//!   [`Endpoint`](afforest_serve::Endpoint), served over TCP by the
+//!   same front-end as a standalone server (`afforest_serve::frontend`).
 //! - [`metrics`] — `{shard="k"}`-labelled series merged into the
 //!   process-wide `/metrics` exposition.
 //!

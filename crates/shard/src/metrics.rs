@@ -32,10 +32,12 @@ pub struct ShardSeries {
 pub struct RouterMetrics {
     /// Requests the router accepted from clients.
     pub requests: &'static Counter,
-    /// End-to-end router request latency (decode through response
-    /// encode). Sampled requests attach their trace id as the bucket's
-    /// OpenMetrics exemplar, so a scrape links the p99 to a retained
-    /// trace renderable with `afforest trace`.
+    /// Router request-evaluation latency, recorded in
+    /// [`Router::handle`](crate::Router::handle) like the standalone
+    /// server's per-op latency (frame decode and response encode are
+    /// not included). Sampled requests attach their trace id as the
+    /// bucket's OpenMetrics exemplar, so a scrape links the p99 to a
+    /// retained trace renderable with `afforest trace`.
     pub latency: &'static Hist,
     /// Cut edges routed to the boundary store (before dedup).
     pub cut_edges: &'static Counter,

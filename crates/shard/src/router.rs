@@ -1,8 +1,10 @@
-//! The router front-end: one protocol endpoint over N shards.
+//! The router: one protocol endpoint over N shards.
 //!
-//! The router speaks the same wire protocol (v1 and v2) as a
-//! standalone server, so existing clients and the load generator work
-//! against it unchanged. Reads are answered by composing per-shard
+//! The router is an [`Endpoint`] of the serve crate's TCP front-end
+//! (`afforest_serve::frontend`), the same accept pool and frame loop a
+//! standalone server runs, so existing clients and the load generator
+//! work against it unchanged (wire v1 and v2). This module holds only
+//! request evaluation. Reads are answered by composing per-shard
 //! answers with the boundary graph (see [`crate::compose`]);
 //! `InsertEdges` batches are split by the plan — internal edges go to
 //! the owning shard's ingest queue in local ids, cut edges go to the
@@ -32,19 +34,14 @@
 //! shard stays away. Answers are therefore eventually consistent with
 //! the same lag a single engine's epoch snapshots already have.
 
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
-use std::thread;
 use std::time::{Duration, Instant};
 
 use afforest_graph::Node;
-use afforest_obs::reqtrace::{self, RootSpan, Stage, StageSpan};
+use afforest_obs::reqtrace::{self, Stage, StageSpan};
 use afforest_serve::events::{self, EventKind};
-use afforest_serve::protocol::{
-    decode_request_traced, encode_response, encode_response_v2, read_frame, write_frame,
-};
-use afforest_serve::{Request, Response, ServeError, StatsReport, WireError, WireVersion};
+use afforest_serve::{Endpoint, Request, Response, StatsReport, TenantId};
 
 use crate::backend::{ShardBackend, ShardUnavailable};
 use crate::boundary::BoundaryStore;
@@ -54,15 +51,7 @@ use crate::metrics::{router_metrics, RouterMetrics};
 use crate::park::ParkSet;
 use crate::plan::ShardPlan;
 
-/// How long a blocked worker sleeps between accept attempts / shutdown
-/// checks.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
-/// Per-connection read timeout, so a parked reader re-checks the
-/// shutdown flag.
-const READ_TIMEOUT: Duration = Duration::from_millis(100);
-
-/// A protocol-compatible front-end routing requests across shards.
+/// A protocol endpoint routing requests across shards.
 pub struct Router<B: ShardBackend> {
     plan: ShardPlan,
     boundary: BoundaryStore,
@@ -167,16 +156,6 @@ impl<B: ShardBackend> Router<B> {
         &self.park
     }
 
-    /// Whether a `Shutdown` request has been received.
-    pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
-    }
-
-    /// Requests shutdown (same effect as a `Shutdown` frame).
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-    }
-
     /// Waits until every shard drained its ingest queue.
     pub fn flush(&self, timeout: Duration) -> bool {
         self.backend.flush(timeout)
@@ -191,8 +170,22 @@ impl<B: ShardBackend> Router<B> {
     /// Evaluates one request. Never panics; unanswerable requests
     /// become [`Response::Err`]. Tenant administration is refused —
     /// the shard set is fixed at startup.
+    ///
+    /// Every call counts in `afforest_router_requests_total` and
+    /// `afforest_router_latency_ns`; a traced request's id is the
+    /// latency sample's exemplar.
     pub fn handle(&self, req: &Request) -> Response {
+        let start = Instant::now();
+        let resp = self.handle_inner(req);
         self.metrics.requests.inc();
+        self.metrics.latency.record_traced(
+            start.elapsed().as_nanos() as u64,
+            reqtrace::current().trace_id,
+        );
+        resp
+    }
+
+    fn handle_inner(&self, req: &Request) -> Response {
         match req {
             Request::Connected(u, v) => self.connected(*u, *v),
             Request::Component(u) => self.component(*u),
@@ -637,129 +630,25 @@ impl<B: ShardBackend> Router<B> {
         let mut g = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         *g = Some(c);
     }
+}
 
-    /// Serves `listener` with a pool of `workers` accept threads until
-    /// a `Shutdown` request arrives. Mirrors the standalone server's
-    /// TCP front-end (same polling accept, same per-version answers).
-    pub fn serve_tcp(&self, listener: TcpListener, workers: usize) -> Result<(), ServeError> {
-        listener.set_nonblocking(true)?;
-        let mut spawn_failed = false;
-        thread::scope(|s| {
-            for i in 0..workers.max(1) {
-                let listener = &listener;
-                let spawned = thread::Builder::new()
-                    .name(format!("afforest-router-worker-{i}"))
-                    .spawn_scoped(s, move || self.accept_loop(listener));
-                if spawned.is_err() {
-                    spawn_failed = true;
-                    self.request_shutdown();
-                    break;
-                }
-            }
-        });
-        if spawn_failed {
-            return Err(ServeError::Spawn {
-                what: "router worker",
-            });
-        }
-        Ok(())
+impl<B: ShardBackend> Endpoint for Router<B> {
+    const ROOT_STAGE: Stage = Stage::RouterRequest;
+    const DECODE_STAGE: Option<Stage> = Some(Stage::RouterDecode);
+
+    /// The router has exactly one logical tenant namespace: the v2
+    /// tenant field is accepted and ignored, so multi-tenant clients
+    /// can point at a router unchanged.
+    fn handle_for(&self, _tenant: &TenantId, req: &Request) -> Response {
+        self.handle(req)
     }
 
-    fn accept_loop(&self, listener: &TcpListener) {
-        while !self.shutdown_requested() {
-            match listener.accept() {
-                Ok((stream, _peer)) => self.serve_connection(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-                Err(_) => thread::sleep(ACCEPT_POLL),
-            }
-        }
+    fn shutdown_flag(&self) -> &AtomicBool {
+        &self.shutdown
     }
 
-    /// Runs one connection's request/response loop until the peer
-    /// closes, the stream desynchronizes, or shutdown is requested.
-    /// Each frame is answered in the wire version it arrived in.
-    fn serve_connection(&self, mut stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-        let _ = stream.set_nodelay(true);
-        let mut last_activity = Instant::now();
-        while !self.shutdown_requested() {
-            let payload = match read_frame(&mut stream) {
-                Ok(Some(payload)) => payload,
-                Ok(None) => return,
-                Err(WireError::Io(e))
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if let Some(deadline) = self.read_deadline {
-                        if last_activity.elapsed() >= deadline {
-                            return;
-                        }
-                    }
-                    continue;
-                }
-                Err(WireError::Io(_)) => return,
-                // Unframeable bytes desynchronize the stream: report,
-                // then drop the connection.
-                Err(WireError::Frame(e)) => {
-                    let err = Response::Err(e.to_string());
-                    let _ = write_frame(&mut stream, &encode_response(&err));
-                    return;
-                }
-            };
-            last_activity = Instant::now();
-            // The router has exactly one logical tenant namespace; the
-            // v2 tenant field is accepted and ignored so multi-tenant
-            // clients can point at a router unchanged.
-            let decode_start = Instant::now();
-            let decoded = decode_request_traced(&payload);
-            let decode_ns = decode_start.elapsed().as_nanos() as u64;
-            let (encoded, done) = match decoded {
-                Ok((version, _tenant, ctx, req)) => {
-                    // The root spans the whole request at the router;
-                    // decode is recorded retroactively because the trace
-                    // context is only known once decode succeeds.
-                    let root = RootSpan::begin(ctx, Stage::RouterRequest);
-                    let _trace_scope = reqtrace::scoped(root.ctx());
-                    reqtrace::record(
-                        root.ctx(),
-                        Stage::RouterDecode,
-                        payload.len() as u64,
-                        reqtrace::now_us().saturating_sub(decode_ns / 1_000),
-                        decode_ns,
-                    );
-                    let resp = self.handle(&req);
-                    if matches!(
-                        resp,
-                        Response::Err(_) | Response::Overloaded { .. } | Response::Degraded(_)
-                    ) {
-                        root.force_retain();
-                    }
-                    let done = matches!(resp, Response::Bye);
-                    let encoded = match version {
-                        WireVersion::V1 => encode_response(&resp),
-                        WireVersion::V2 => encode_response_v2(&resp),
-                    };
-                    self.metrics.latency.record_traced(
-                        decode_start.elapsed().as_nanos() as u64,
-                        if root.sampled() {
-                            root.ctx().trace_id
-                        } else {
-                            0
-                        },
-                    );
-                    (encoded, done)
-                }
-                Err(e) => (encode_response(&Response::Err(e.to_string())), false),
-            };
-            if write_frame(&mut stream, &encoded).is_err() {
-                return;
-            }
-            if done {
-                return;
-            }
-        }
+    fn read_deadline(&self) -> Option<Duration> {
+        self.read_deadline
     }
 }
 
@@ -769,7 +658,8 @@ mod tests {
     use crate::cluster::LocalCluster;
     use crate::health::HealthState;
     use afforest_serve::ServeConfig;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::thread;
 
     fn router(n: usize, shards: usize) -> Router<LocalCluster> {
         let plan = ShardPlan::new(n, shards);

@@ -147,16 +147,20 @@ pub(crate) fn wait_exit(name: &str, child: &mut Reaper) -> Result<(), String> {
     }
 }
 
-/// The labelled and router-global series every scrape must contain.
-const REQUIRED_SERIES: [&str; 6] = [
+/// The labelled, router-global and front-end series every scrape must
+/// contain.
+const REQUIRED_SERIES: [&str; 7] = [
     "afforest_shard_requests_total{shard=\"0\"}",
     "afforest_shard_requests_total{shard=\"1\"}",
     "afforest_shard_epoch{shard=\"0\"}",
     "afforest_shard_epoch{shard=\"1\"}",
     "afforest_router_requests_total",
     "afforest_boundary_edges",
+    "afforest_connections_total",
 ];
 
+/// Every scrape follows a client connection, which the router's front-end
+/// must have counted.
 fn scrape_has_series(scrape_addr: &str) -> Result<Scrape, String> {
     let (status, scrape) = http_get(scrape_addr, "/metrics")?;
     if status != 200 {
@@ -167,7 +171,11 @@ fn scrape_has_series(scrape_addr: &str) -> Result<Scrape, String> {
             return Err(format!("scrape is missing the series {series}"));
         }
     }
-    parse_exposition(&scrape)
+    let scrape = parse_exposition(&scrape)?;
+    if scrape.value("afforest_connections_total").unwrap_or(0) == 0 {
+        return Err("the router's scrape counts no accepted connection".into());
+    }
+    Ok(scrape)
 }
 
 /// A running router: its reaper, client and scrape addresses, the
