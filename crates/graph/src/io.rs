@@ -1,6 +1,6 @@
 //! Graph serialization.
 //!
-//! Two formats:
+//! Three formats:
 //!
 //! - **Text edge list** (`.el`): one `u v` pair per line, `#` comments and
 //!   blank lines ignored — the interchange format used by GAPBS and most
@@ -8,6 +8,11 @@
 //!   available).
 //! - **Binary CSR** (`.acsr`): a little-endian dump of the offsets/targets
 //!   arrays with a magic header, for fast reload of generated benchmarks.
+//! - **Node array** (`.arr`, e.g. `afforest-serve`'s parent snapshot):
+//!   `AFARR` magic and version, u64 length, the slots as little-endian
+//!   u32s, and a trailing u64 checksum. Version 2, the one written, folds
+//!   FNV-1a's xor-multiply once per slot; version 1, still read, folded it
+//!   once per byte ([`checksum64`]).
 
 use crate::error::{Error, Result};
 use crate::{CsrGraph, EdgeList, GraphBuilder, Node};
@@ -124,47 +129,86 @@ fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
 }
 
 /// Magic bytes identifying a serialized node array (parent snapshots,
-/// label dumps), followed by a version.
-const ARRAY_MAGIC: &[u8; 8] = b"AFARR\x00\x00\x01";
+/// label dumps), followed by a version: 2, checksummed per slot.
+const ARRAY_MAGIC: &[u8; 8] = b"AFARR\x00\x00\x02";
 
-/// FNV-1a 64-bit checksum, the integrity check shared by the node-array
-/// format and `afforest-serve`'s write-ahead log. Not cryptographic —
-/// it detects torn writes and bit rot, which is all a local log needs.
+/// Version 1 of the node-array format: the same layout, checksummed per
+/// byte with [`checksum64`]. Read, never written.
+const ARRAY_MAGIC_V1: &[u8; 8] = b"AFARR\x00\x00\x01";
+
+/// Slots encoded per `write` call of [`write_node_slices`] (256 KiB).
+const WRITE_SLOTS: usize = 1 << 16;
+
+/// FNV-1a's 64-bit offset basis and prime.
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// One FNV-1a step: xor `word` into the state, then multiply.
+fn fnv_step(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
+}
+
+/// FNV-1a 64-bit checksum, one step per byte: the integrity check of
+/// `afforest-serve`'s edge-log headers and records (its write-ahead log
+/// and the router's logs) and of version-1 node arrays. Version-2 node
+/// arrays take one step per u32 slot instead, a quarter of the serial
+/// multiplies over the same bytes. Not cryptographic — it detects torn
+/// writes and bit rot, which is all a local log needs.
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    bytes
+        .iter()
+        .fold(FNV_OFFSET, |h, &b| fnv_step(h, u64::from(b)))
 }
 
-/// Writes a node array (e.g. a parent-pointer snapshot) with a magic
-/// header, length, payload, and trailing FNV-1a checksum, so a torn or
-/// bit-rotted file is detected on read rather than silently restored.
+/// Writes a node array (e.g. a parent-pointer snapshot): a
+/// [`write_node_slices`] of one slice.
 pub fn write_node_array<P: AsRef<Path>>(path: P, nodes: &[Node]) -> io::Result<()> {
-    let mut payload = Vec::with_capacity(nodes.len() * 4);
-    for &v in nodes {
-        payload.extend_from_slice(&v.to_le_bytes());
-    }
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(ARRAY_MAGIC)?;
-    w.write_all(&(nodes.len() as u64).to_le_bytes())?;
-    w.write_all(&payload)?;
-    w.write_all(&checksum64(&payload).to_le_bytes())?;
-    w.flush()
+    write_node_slices(path, &[nodes])
 }
 
-/// Reads a node array written by [`write_node_array`]. Bad magic,
-/// truncation, and checksum mismatches all come back as
-/// [`Error::Malformed`], never a panic.
+/// Writes the node array that is the concatenation of `slices` (e.g. the
+/// pages of a paged array) in format version 2: magic header, length,
+/// the slots as little-endian u32s and a trailing checksum of one FNV-1a
+/// step per slot, so a torn or bit-rotted file is detected on read
+/// rather than silently restored. The slots are encoded and checksummed
+/// in one pass, a bounded buffer at a time; the whole array is never
+/// copied.
+pub fn write_node_slices<P: AsRef<Path>>(path: P, slices: &[&[Node]]) -> io::Result<()> {
+    let len: usize = slices.iter().map(|s| s.len()).sum();
+    let mut file = File::create(path)?;
+    let mut buf = Vec::with_capacity(8 * WRITE_SLOTS);
+    buf.extend_from_slice(ARRAY_MAGIC);
+    buf.extend_from_slice(&(len as u64).to_le_bytes());
+    let mut sum = FNV_OFFSET;
+    for part in slices.iter().flat_map(|s| s.chunks(WRITE_SLOTS)) {
+        let start = buf.len();
+        buf.resize(start + 4 * part.len(), 0);
+        for (bytes, &v) in buf[start..].chunks_exact_mut(4).zip(part) {
+            bytes.copy_from_slice(&v.to_le_bytes());
+            sum = fnv_step(sum, u64::from(v));
+        }
+        if buf.len() >= 4 * WRITE_SLOTS {
+            file.write_all(&buf)?;
+            buf.clear();
+        }
+    }
+    buf.extend_from_slice(&sum.to_le_bytes());
+    file.write_all(&buf)
+}
+
+/// Reads a node array written by [`write_node_array`] or
+/// [`write_node_slices`], in format version 2 or 1. Bad magic or version,
+/// truncation, and checksum mismatches all come back as errors, never a
+/// panic.
 pub fn read_node_array<P: AsRef<Path>>(path: P) -> Result<Vec<Node>> {
     let mut r = BufReader::new(File::open(path)?);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
-    if &magic != ARRAY_MAGIC {
-        return Err(Error::malformed("AFARR", "not an AFARR file (bad magic)"));
-    }
+    let v1 = match &magic {
+        ARRAY_MAGIC => false,
+        ARRAY_MAGIC_V1 => true,
+        _ => return Err(Error::malformed("AFARR", "not an AFARR file (bad magic)")),
+    };
     let len = read_u64(&mut r)? as usize;
     let mut payload = vec![
         0u8;
@@ -174,13 +218,21 @@ pub fn read_node_array<P: AsRef<Path>>(path: P) -> Result<Vec<Node>> {
     ];
     r.read_exact(&mut payload)?;
     let declared = read_u64(&mut r)?;
-    if checksum64(&payload) != declared {
-        return Err(Error::malformed("AFARR", "checksum mismatch"));
-    }
-    Ok(payload
+    let nodes: Vec<Node> = payload
         .chunks_exact(4)
         .map(|b| Node::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        .collect())
+        .collect();
+    let sum = if v1 {
+        checksum64(&payload)
+    } else {
+        nodes
+            .iter()
+            .fold(FNV_OFFSET, |h, &v| fnv_step(h, u64::from(v)))
+    };
+    if sum != declared {
+        return Err(Error::malformed("AFARR", "checksum mismatch"));
+    }
+    Ok(nodes)
 }
 
 /// Loads a text edge list straight into a CSR graph.
@@ -260,6 +312,87 @@ mod tests {
         write_node_array(&p2, &[]).unwrap();
         assert_eq!(read_node_array(&p2).unwrap(), Vec::<Node>::new());
         std::fs::remove_file(&p2).unwrap();
+    }
+
+    #[test]
+    fn node_slices_encode_like_one_array_at_any_cut() {
+        let all: Vec<Node> = (0..2 * WRITE_SLOTS as Node + 7)
+            .map(|v| v.wrapping_mul(2_654_435_761))
+            .collect();
+        let (p, whole) = (tempfile("sliced.arr"), tempfile("whole.arr"));
+        // Odd and even totals, n = 0, and slice lengths that leave a short
+        // last slice or straddle the encoder's write buffer.
+        for n in [0, 1, 7, 3 * 4096 + 5, all.len()] {
+            let nodes = &all[..n];
+            write_node_array(&whole, nodes).unwrap();
+            let expected = std::fs::read(&whole).unwrap();
+            for len in [1, 3, 4096, WRITE_SLOTS + 1] {
+                let mut slices: Vec<&[Node]> = nodes.chunks(len).collect();
+                slices.insert(slices.len() / 2, &[]);
+                write_node_slices(&p, &slices).unwrap();
+                assert_eq!(std::fs::read(&p).unwrap(), expected, "n {n}, slice {len}");
+                assert_eq!(read_node_array(&p).unwrap(), nodes, "n {n}, slice {len}");
+            }
+        }
+        std::fs::remove_file(&p).unwrap();
+        std::fs::remove_file(&whole).unwrap();
+    }
+
+    #[test]
+    fn version_one_arrays_still_read() {
+        let nodes: Vec<Node> = (0..37).map(|v| v / 2).collect();
+        let payload: Vec<u8> = nodes.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let mut bytes = b"AFARR\x00\x00\x01".to_vec();
+        bytes.extend_from_slice(&(nodes.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&checksum64(&payload).to_le_bytes());
+        let p = tempfile("v1.arr");
+        std::fs::write(&p, &bytes).unwrap();
+        assert_eq!(read_node_array(&p).unwrap(), nodes);
+
+        // The version byte picks the checksum: the same bytes labelled
+        // version 2 do not verify.
+        bytes[7] = 2;
+        std::fs::write(&p, &bytes).unwrap();
+        let err = read_node_array(&p).unwrap_err();
+        assert!(err.to_string().contains("checksum"), "{err}");
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_v2_payload_is_a_checksum_mismatch() {
+        let p = tempfile("bitflip.arr");
+        write_node_array(&p, &[0, 0, 1, 2, 2, 4, 1_000_000]).unwrap();
+        let bytes = std::fs::read(&p).unwrap();
+        // Payload and trailing checksum; the 16 header bytes are the magic
+        // and the length.
+        for bit in 16 * 8..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&p, &flipped).unwrap();
+            let err = read_node_array(&p).unwrap_err();
+            assert!(err.to_string().contains("checksum"), "bit {bit}: {err}");
+        }
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn unknown_array_magic_or_version_is_rejected() {
+        let p = tempfile("version.arr");
+        write_node_array(&p, &[0, 1, 1]).unwrap();
+        let bytes = std::fs::read(&p).unwrap();
+        // A foreign magic, versions 0 and 3, and a nonzero padding byte.
+        for (at, value) in [(0, b'X'), (7, 0), (7, 3), (6, 2)] {
+            let mut bad = bytes.clone();
+            bad[at] = value;
+            std::fs::write(&p, &bad).unwrap();
+            let err = read_node_array(&p).unwrap_err();
+            assert!(
+                err.to_string().contains("magic"),
+                "byte {at} = {value}: {err}"
+            );
+        }
+        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]

@@ -538,7 +538,9 @@ fn writer_loop(
         shared.tm.edges_ingested.add(applied);
         shared.ingest.published(wal_logged);
         if let Some(w) = wal.as_mut() {
-            if w.maybe_compact(&cc).is_err() {
+            // This thread is the store's only publisher, so `load` returns
+            // the epoch just published: it covers every logged batch.
+            if w.maybe_compact(&shared.store.load()).is_err() {
                 metrics().wal_errors.inc();
                 events::record(EventKind::WalError, [epoch, 0, 0]);
             }

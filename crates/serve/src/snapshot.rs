@@ -147,6 +147,16 @@ impl Snapshot {
     pub fn num_components(&self) -> usize {
         self.num_components
     }
+
+    /// The parent forest as one slice per page: their concatenation
+    /// holds `π(v)` at slot `v`, for every vertex and nothing more.
+    pub(crate) fn parent_slices(&self) -> Vec<&[Node]> {
+        self.parents
+            .iter()
+            .zip((0..self.vertices).step_by(PAGE))
+            .map(|(page, start)| &page[..PAGE.min(self.vertices - start)])
+            .collect()
+    }
 }
 
 /// Splits `slots` into pages; the last page's tail is zero padding that
@@ -352,6 +362,7 @@ mod tests {
             sizes[rep as usize] = size as u64;
         }
         prop_assert_eq!(snap.num_components(), labels.num_components());
+        prop_assert_eq!(snap.parent_slices().concat(), cc.parents_snapshot());
         for v in 0..n as Node {
             prop_assert_eq!(get(&snap.parents, v), cc.parent(v), "slot {}", v);
             let rep = labels.label(v);

@@ -10,20 +10,37 @@
 //! committed history — never a panic, never a half-applied record.
 //!
 //! Replaying a long history on every restart would make recovery O(total
-//! writes), so the log is periodically **compacted**: the parent array is
-//! serialized (via `afforest_graph::io::write_node_array`, atomically
-//! through a tempfile rename) as `snapshot.arr` and the log is truncated
-//! back to its header. Recovery then costs one array read plus O(batches
-//! since the last snapshot).
+//! writes), so the log is periodically **compacted**, on the writer
+//! thread, at a cost of about what it writes: the epoch the writer has
+//! just published is streamed page by page into `snapshot.arr.tmp`
+//! (`afforest_graph::io::write_node_slices`), which is renamed over
+//! `snapshot.arr`; then a fresh header-only `wal.log.new` is renamed over
+//! `wal.log` and becomes the append handle. The replaced files are held
+//! open across their renames and closed on another thread, because
+//! freeing their cached pages costs milliseconds. Recovery then costs one
+//! array read plus O(batches since the last snapshot).
+//!
+//! A kill at any instant leaves a directory [`recover`] restores every
+//! logged batch from. Before the snapshot rename it holds the old
+//! snapshot and the full log; between the two renames, the new snapshot
+//! and the full log, whose records the snapshot already covers and which
+//! replay as no-ops (Theorem 1). A partial `snapshot.arr.tmp` or a
+//! header-only `wal.log.new` left behind is ignored by recovery and
+//! removed by [`Wal::open`] or overwritten by the next compaction, and
+//! `wal.log` exists at every instant.
 //!
 //! On-disk layout inside the WAL directory:
 //!
 //! ```text
-//! wal.log       8-byte magic/version, u64 vertex count, u64 header
-//!               checksum (fnv1a over magic + count), then records:
-//!               [u32 len][u64 fnv1a(payload)][payload]
-//!               payload = 0x01 tag, u32 edge count, count * (u32, u32)
-//! snapshot.arr  afforest_graph::io node array (the parent snapshot)
+//! wal.log           8-byte magic/version, u64 vertex count, u64 header
+//!                   checksum (fnv1a over magic + count), then records:
+//!                   [u32 len][u64 fnv1a(payload)][payload]
+//!                   payload = 0x01 tag, u32 edge count, count * (u32, u32)
+//! snapshot.arr      afforest_graph::io node array (the parent snapshot),
+//!                   written as version 2 (one FNV-1a step per slot);
+//!                   version 1 (one step per byte) still loads
+//! snapshot.arr.tmp  the next snapshot while a compaction writes it
+//! wal.log.new       the next, header-only log until it replaces wal.log
 //! ```
 //!
 //! `wal.log`'s format is the service's one **edge-log** format. The
@@ -33,13 +50,15 @@
 //! record codec and the replay scan behind [`recover`].
 
 use crate::faults::{FaultPlan, WalFault};
+use crate::snapshot::Snapshot;
 use afforest_core::{IncrementalCc, InvalidParents};
-use afforest_graph::io::{checksum64, read_node_array, write_node_array};
+use afforest_graph::io::{checksum64, read_node_array, write_node_slices};
 use afforest_graph::Node;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 
 /// Magic bytes identifying a WAL file, followed by a version.
 const MAGIC: &[u8; 8] = b"AFWAL\x00\x00\x01";
@@ -64,6 +83,14 @@ pub const LOG_FILE: &str = "wal.log";
 
 /// The snapshot file's name inside the WAL directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.arr";
+
+/// Where a compaction writes the next snapshot before renaming it over
+/// [`SNAPSHOT_FILE`].
+const SNAPSHOT_TMP: &str = "snapshot.arr.tmp";
+
+/// Where a compaction creates the next, header-only log before renaming
+/// it over [`LOG_FILE`].
+const LOG_NEXT: &str = "wal.log.new";
 
 /// Why a WAL operation failed.
 #[derive(Debug)]
@@ -151,26 +178,38 @@ pub enum AppendOutcome {
 pub struct Wal {
     file: File,
     dir: PathBuf,
-    /// Compact (snapshot + truncate) after this many appended batches.
+    /// Vertex count named by the log header.
+    vertices: usize,
+    /// Compact (snapshot + fresh log) after this many appended batches.
     snapshot_every: u64,
     appends_since_snapshot: u64,
     faults: Option<Arc<FaultPlan>>,
+    /// The thread closing the files the last compaction replaced.
+    closer: Option<JoinHandle<()>>,
 }
 
 impl Wal {
     /// Opens (creating if absent) the log for an `n`-vertex service in
     /// `dir`, positioned for appending. `snapshot_every` batches trigger
-    /// a compaction (0 disables compaction).
+    /// a compaction (0 disables compaction). Removes what a compaction
+    /// cut short by a crash left behind.
     pub fn open(dir: &Path, n: usize, snapshot_every: u64) -> Result<Wal, WalError> {
         std::fs::create_dir_all(dir)?;
+        for leftover in [SNAPSHOT_TMP, LOG_NEXT] {
+            // Best effort: one that cannot be removed fails the next
+            // compaction, which the writer counts as a WAL error.
+            let _ = std::fs::remove_file(dir.join(leftover));
+        }
         let mut file = open_checked(&dir.join(LOG_FILE), n)?;
         file.seek(SeekFrom::End(0))?;
         Ok(Wal {
             file,
             dir: dir.to_path_buf(),
+            vertices: n,
             snapshot_every,
             appends_since_snapshot: 0,
             faults: None,
+            closer: None,
         })
     }
 
@@ -213,34 +252,70 @@ impl Wal {
         Ok(outcome)
     }
 
-    /// Compacts if the snapshot interval has elapsed: serializes `cc`'s
-    /// parent array atomically (tempfile + rename) and truncates the log
-    /// back to its header. Returns whether a compaction happened.
-    pub fn maybe_compact(&mut self, cc: &IncrementalCc) -> Result<bool, WalError> {
+    /// Compacts if the snapshot interval has elapsed (see
+    /// [`Wal::compact`]). Returns whether a compaction happened.
+    pub fn maybe_compact(&mut self, snap: &Snapshot) -> Result<bool, WalError> {
         if self.snapshot_every == 0 || self.appends_since_snapshot < self.snapshot_every {
             return Ok(false);
         }
-        self.compact(cc)?;
+        self.compact(snap)?;
         Ok(true)
     }
 
-    /// Unconditionally compacts (see [`Wal::maybe_compact`]).
-    pub fn compact(&mut self, cc: &IncrementalCc) -> Result<(), WalError> {
+    /// Unconditionally compacts: writes `snap`, which must cover every
+    /// logged batch (the epoch the writer has just published), as the new
+    /// `snapshot.arr`, then swaps in a header-only log. The interval
+    /// restarts even if this fails, so a failing compaction is retried at
+    /// the next interval, not on every batch.
+    pub fn compact(&mut self, snap: &Snapshot) -> Result<(), WalError> {
         let _span = afforest_obs::span!("wal-compact");
-        let tmp = self.dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-        write_node_array(&tmp, &cc.parents_snapshot())?;
-        std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
+        let appended = std::mem::take(&mut self.appends_since_snapshot);
+        let tmp = self.dir.join(SNAPSHOT_TMP);
+        write_node_slices(&tmp, &snap.parent_slices())?;
+        let snapshot = self.dir.join(SNAPSHOT_FILE);
+        // Held open across the rename, so that freeing the replaced
+        // snapshot's pages waits for the closer instead of the rename.
+        let old_snapshot = File::open(&snapshot).ok();
+        std::fs::rename(&tmp, &snapshot)?;
+        // The snapshot now covers every record: swap in an empty log.
         let log_bytes = self.file.metadata()?.len().saturating_sub(HEADER_LEN);
-        // The snapshot now covers everything in the log: drop the records.
-        self.file.set_len(HEADER_LEN)?;
-        self.file.seek(SeekFrom::Start(HEADER_LEN))?;
+        let next = self.dir.join(LOG_NEXT);
+        let mut fresh = File::create(&next)?;
+        fresh.write_all(&encode_header(self.vertices))?;
+        std::fs::rename(&next, self.dir.join(LOG_FILE))?;
+        let old_log = std::mem::replace(&mut self.file, fresh);
+        self.close_off_thread((old_snapshot, old_log));
         crate::metrics::metrics().wal_compactions.inc();
         crate::events::record(
             crate::events::EventKind::WalCompaction,
-            [self.appends_since_snapshot, log_bytes, 0],
+            [appended, log_bytes, 0],
         );
-        self.appends_since_snapshot = 0;
         Ok(())
+    }
+
+    /// Drops `files` on a thread of their own: the last handle to a
+    /// replaced file frees its cached pages on close, milliseconds for a
+    /// snapshot. The previous closer is joined first, so at most one runs.
+    fn close_off_thread(&mut self, files: (Option<File>, File)) {
+        self.join_closer();
+        // If the thread cannot start, `spawn` drops `files` right here.
+        self.closer = thread::Builder::new()
+            .name("wal-close".into())
+            .spawn(move || drop(files))
+            .ok();
+    }
+
+    fn join_closer(&mut self) {
+        if let Some(closer) = self.closer.take() {
+            // Dropping a `File` ignores close errors; nothing can panic.
+            let _ = closer.join();
+        }
+    }
+}
+
+impl Drop for Wal {
+    fn drop(&mut self) {
+        self.join_closer();
     }
 }
 
@@ -603,6 +678,39 @@ mod tests {
         cc.labels()
     }
 
+    /// Deterministic batches of a few edges each over `n` vertices.
+    fn sample_batches(n: u32, count: u32) -> Vec<Vec<(Node, Node)>> {
+        (0..count)
+            .map(|i| {
+                vec![
+                    ((i * 7) % n, (i * 13 + 1) % n),
+                    ((i * 5 + 3) % n, (i * 11) % n),
+                ]
+            })
+            .collect()
+    }
+
+    /// Recovers `dir` and checks it against replaying `batches` in full.
+    fn assert_recovers(dir: &Path, n: usize, batches: &[Vec<(Node, Node)>]) -> Recovery {
+        let mut rec = recover(dir, &[]).unwrap();
+        let mut oracle = IncrementalCc::new(n);
+        for b in batches {
+            oracle.insert_batch(b);
+        }
+        assert!(labels_of(&mut rec.cc).equivalent(&labels_of(&mut oracle)));
+        rec
+    }
+
+    /// The file names in `dir`, sorted.
+    fn files_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn append_then_recover_replays_everything() {
         let dir = tempdir("roundtrip");
@@ -736,7 +844,7 @@ mod tests {
         {
             wal.append(batch).unwrap();
             cc.insert_batch(batch);
-            let compacted = wal.maybe_compact(&cc).unwrap();
+            let compacted = wal.maybe_compact(&Snapshot::new(0, &cc)).unwrap();
             assert_eq!(compacted, i == 1, "batch {i}");
         }
         // After compacting at batch 2, the log holds only batch 3.
@@ -757,7 +865,7 @@ mod tests {
         let mut wal = Wal::open(&dir, 4, 1).unwrap();
         wal.append(&[(0, 1)]).unwrap();
         cc.insert(0, 1);
-        assert!(wal.maybe_compact(&cc).unwrap());
+        assert!(wal.maybe_compact(&Snapshot::new(0, &cc)).unwrap());
         drop(wal);
         // Flip a payload byte in the snapshot.
         let snap = dir.join(SNAPSHOT_FILE);
@@ -769,6 +877,141 @@ mod tests {
             Err(WalError::Corrupt(why)) => assert!(why.contains("checksum"), "{why}"),
             other => panic!("expected Corrupt, got {:?}", other.err()),
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_compaction_is_retried_at_the_next_interval() {
+        let dir = tempdir("compact-retry");
+        let mut wal = Wal::open(&dir, 32, 4).unwrap();
+        // A directory where the compaction writes first: every attempt
+        // fails before touching the snapshot or the log.
+        std::fs::create_dir_all(dir.join(SNAPSHOT_TMP)).unwrap();
+        let mut cc = IncrementalCc::new(32);
+        let batches = sample_batches(32, 12);
+        let mut failed = Vec::new();
+        for (i, b) in batches.iter().enumerate() {
+            wal.append(b).unwrap();
+            cc.insert_batch(b);
+            match wal.maybe_compact(&Snapshot::new(0, &cc)) {
+                Ok(compacted) => assert!(!compacted, "batch {}", i + 1),
+                Err(_) => failed.push(i + 1),
+            }
+        }
+        assert_eq!(failed, [4, 8, 12]);
+        drop(wal);
+        let rec = assert_recovers(&dir, 32, &batches);
+        assert!(!rec.from_snapshot);
+        assert_eq!(rec.batches, 12);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn kill_between_the_renames_replays_the_full_log_over_the_new_snapshot() {
+        let dir = tempdir("window-renamed");
+        let batches = sample_batches(40, 6);
+        let mut cc = IncrementalCc::new(40);
+        let mut wal = Wal::open(&dir, 40, 0).unwrap();
+        for b in &batches {
+            wal.append(b).unwrap();
+            cc.insert_batch(b);
+        }
+        let full_log = std::fs::read(dir.join(LOG_FILE)).unwrap();
+        wal.compact(&Snapshot::new(0, &cc)).unwrap();
+        drop(wal);
+        // The new snapshot is in place but the log swap never happened.
+        std::fs::write(dir.join(LOG_FILE), &full_log).unwrap();
+        let rec = assert_recovers(&dir, 40, &batches);
+        assert!(rec.from_snapshot);
+        assert_eq!(rec.batches, 6);
+        assert!(!rec.truncated);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn leftovers_of_a_cut_compaction_change_nothing() {
+        let dir = tempdir("window-leftovers");
+        let batches = sample_batches(40, 5);
+        let mut cc = IncrementalCc::new(40);
+        let mut wal = Wal::open(&dir, 40, 3).unwrap();
+        for b in &batches {
+            wal.append(b).unwrap();
+            cc.insert_batch(b);
+            wal.maybe_compact(&Snapshot::new(0, &cc)).unwrap();
+        }
+        drop(wal);
+        // A kill while the next snapshot was half written...
+        let tmp = dir.join(SNAPSHOT_TMP);
+        write_node_slices(&tmp, &Snapshot::new(0, &cc).parent_slices()).unwrap();
+        let half = std::fs::metadata(&tmp).unwrap().len() / 2;
+        OpenOptions::new()
+            .write(true)
+            .open(&tmp)
+            .unwrap()
+            .set_len(half)
+            .unwrap();
+        let rec = assert_recovers(&dir, 40, &batches);
+        assert!(rec.from_snapshot);
+        assert_eq!(rec.batches, 2);
+        // ...or after the fresh log was created but not yet renamed.
+        std::fs::write(dir.join(LOG_NEXT), encode_header(40)).unwrap();
+        let rec = assert_recovers(&dir, 40, &batches);
+        assert_eq!(rec.batches, 2);
+
+        // Reopening removes both; the next compaction leaves no strays.
+        let mut wal = Wal::open(&dir, 40, 0).unwrap();
+        assert_eq!(files_in(&dir), [SNAPSHOT_FILE, LOG_FILE]);
+        let extra = vec![(0, 39)];
+        wal.append(&extra).unwrap();
+        cc.insert_batch(&extra);
+        wal.compact(&Snapshot::new(0, &cc)).unwrap();
+        drop(wal);
+        assert_eq!(files_in(&dir), [SNAPSHOT_FILE, LOG_FILE]);
+        let mut all = batches.clone();
+        all.push(extra);
+        let rec = assert_recovers(&dir, 40, &all);
+        assert_eq!(rec.batches, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn version_one_snapshot_then_a_version_two_compaction() {
+        let dir = tempdir("v1-snapshot");
+        let batches = sample_batches(24, 8);
+        let (before, after) = batches.split_at(4);
+        // A snapshot in the byte-checksummed format, then the log since.
+        let mut cc = IncrementalCc::new(24);
+        for b in before {
+            cc.insert_batch(b);
+        }
+        let payload: Vec<u8> = Snapshot::new(0, &cc)
+            .parent_slices()
+            .concat()
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let mut v1 = b"AFARR\x00\x00\x01".to_vec();
+        v1.extend_from_slice(&24u64.to_le_bytes());
+        v1.extend_from_slice(&payload);
+        v1.extend_from_slice(&checksum64(&payload).to_le_bytes());
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(SNAPSHOT_FILE), &v1).unwrap();
+        let mut wal = Wal::open(&dir, 24, 0).unwrap();
+        for b in after {
+            wal.append(b).unwrap();
+        }
+        let rec = assert_recovers(&dir, 24, &batches);
+        assert!(rec.from_snapshot);
+        assert_eq!(rec.batches, 4);
+
+        // Compacting the recovered state rewrites the snapshot as v2.
+        wal.compact(&Snapshot::new(1, &rec.cc)).unwrap();
+        drop(wal);
+        let written = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+        assert!(written.starts_with(b"AFARR\x00\x00\x02"));
+        let rec = assert_recovers(&dir, 24, &batches);
+        assert!(rec.from_snapshot);
+        assert_eq!(rec.batches, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,7 +6,9 @@
 //! then SIGKILL the process — no drain, no shutdown frame. `afforest
 //! recover` must then report exactly the component count an uninterrupted
 //! run would have: `afforest cc` over the seed graph plus the ingested
-//! edges is the oracle.
+//! edges is the oracle. Each insert is its own batch, so the WAL has
+//! compacted before the kill: recovery must start from the parent
+//! snapshot and replay the batches logged after it.
 //!
 //! CI runs it twice: once clean and once with chaos faults injected
 //! (stretched applies and torn response frames). The injected fault
@@ -62,14 +64,39 @@ fn chaos_client(addr: &str) -> Result<Client, String> {
     }))
 }
 
+/// The value of the `key:` line of `afforest recover` / `afforest cc`
+/// text.
+fn field<'a>(text: &'a str, key: &str) -> Result<&'a str, String> {
+    text.lines()
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix(':'))
+        .map(str::trim)
+        .ok_or_else(|| format!("no {key} line in:\n{text}"))
+}
+
 /// Pulls `components:  N` out of `afforest recover` / `afforest cc` text.
 fn parse_components(text: &str) -> Result<u64, String> {
-    text.lines()
-        .find_map(|l| l.strip_prefix("components:"))
-        .ok_or_else(|| format!("no components line in:\n{text}"))?
-        .trim()
+    field(text, "components")?
         .parse()
         .map_err(|e| format!("bad components line: {e}"))
+}
+
+/// Waits until the server has published every edge it admitted, so the
+/// next insert starts a batch of its own.
+fn wait_published(client: &mut Client) -> Result<(), String> {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let depth = client
+            .stats()
+            .map_err(|e| format!("stats: {e}"))?
+            .queue_depth;
+        if depth == 0 {
+            return Ok(());
+        }
+        if Instant::now() > deadline {
+            return Err(format!("insert never published: queue depth {depth}"));
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 fn crash(root: &Path, faults: bool) -> Result<(), String> {
@@ -105,8 +132,8 @@ fn crash(root: &Path, faults: bool) -> Result<(), String> {
         return Err(format!("generate failed ({status})"));
     }
 
-    // 2. Serve with a WAL (snapshot interval small enough that compaction
-    // actually runs), ephemeral port.
+    // 2. Serve with a WAL on an ephemeral port. The 20 one-batch inserts
+    // below compact at batches 8 and 16 and leave 4 batches in the log.
     let mut args = vec![
         "serve",
         &graph_s,
@@ -152,7 +179,8 @@ fn crash(root: &Path, faults: bool) -> Result<(), String> {
         }
     };
 
-    // 3. Ingest the known workload in small batches.
+    // 3. Ingest the known workload, one batch per insert: the writer
+    // would coalesce inserts sent back to back into a few batches.
     let mut client = chaos_client(&addr)?;
     let edges = inserted_edges();
     for chunk in edges.chunks(10) {
@@ -165,6 +193,7 @@ fn crash(root: &Path, faults: bool) -> Result<(), String> {
                 chunk.len()
             ));
         }
+        wait_published(&mut client)?;
     }
 
     // 4. Wait until everything admitted has been applied: queue empty and
@@ -206,6 +235,21 @@ fn crash(root: &Path, faults: bool) -> Result<(), String> {
         ));
     }
     let recovered = parse_components(&text)?;
+    // Both halves of recovery ran: the snapshot a compaction wrote, and
+    // the batches logged after it.
+    if field(&text, "base")? != "parent snapshot" {
+        return Err(format!("recovery did not start from a snapshot:\n{text}"));
+    }
+    let replayed: u64 = field(&text, "replayed")?
+        .split_whitespace()
+        .next()
+        .and_then(|n| n.parse().ok())
+        .ok_or_else(|| format!("bad replayed line in:\n{text}"))?;
+    if replayed == 0 {
+        return Err(format!(
+            "recovery replayed no batch after the snapshot:\n{text}"
+        ));
+    }
 
     // 7. Oracle: an uninterrupted run over seed graph + ingested edges.
     let mut all = std::fs::read_to_string(&graph).map_err(|e| format!("read graph: {e}"))?;
@@ -240,7 +284,7 @@ fn crash(root: &Path, faults: bool) -> Result<(), String> {
     let _ = std::fs::remove_file(&combined);
     let _ = std::fs::remove_dir_all(&wal_dir);
     println!(
-        "==> crash recovery smoke{}: killed mid-serve, recovered {recovered} component(s) == uninterrupted run",
+        "==> crash recovery smoke{}: killed mid-serve, recovered {recovered} component(s) == uninterrupted run (snapshot + {replayed} replayed batch(es))",
         tag(faults)
     );
     Ok(())
