@@ -11,8 +11,11 @@
 #   4. cargo test --workspace  at RAYON_NUM_THREADS=1, 2 and 4 (one run
 #      each: the rayon shim reads the count once per process), then once
 #      more with the obs feature on
-#   5. the schedule-exploring model checker (crates/modelcheck)
-#   6. loopback serving smoke: afforest serve on an ephemeral port +
+#   5. cargo test --offline -q --manifest-path perfbench/Cargo.toml: the
+#      benchmark harness, a workspace of its own that path-depends on six
+#      crates (its tests check the metric catalogue equals BENCHMARK.json)
+#   6. the schedule-exploring model checker (crates/modelcheck)
+#   7. loopback serving smoke: afforest serve on an ephemeral port +
 #      afforest loadgen mixed workload, zero errors, graceful shutdown
 #      (obs feature off and on)
 set -eu

@@ -611,47 +611,4 @@ mod tests {
         );
         assert!(ConfigError::ZeroSampleSize.to_string().contains("sample"));
     }
-
-    /// With the `obs` feature on, one run must produce spans for every
-    /// phase the paper names: each neighbor round, each compress sweep,
-    /// the sampling step, and the skip (final-link) pass.
-    #[cfg(feature = "obs")]
-    #[test]
-    fn trace_covers_every_phase() {
-        let g = uniform_random(2_000, 10_000, 5);
-        let cfg = AfforestConfig::builder()
-            .neighbor_rounds(3)
-            .build()
-            .unwrap();
-        let session = afforest_obs::Session::begin();
-        let labels = afforest(&g, &cfg);
-        let trace = session.end();
-        assert!(labels.verify_against(&g));
-
-        for name in [
-            "init",
-            "link[0]",
-            "link[1]",
-            "link[2]",
-            "compress[0]",
-            "compress[1]",
-            "compress[2]",
-            "find-largest",
-            "final-link",
-            "final-compress",
-        ] {
-            assert!(
-                trace.spans.iter().any(|s| s.name == name),
-                "missing span {name:?} in {:?}",
-                trace.spans.iter().map(|s| &s.name).collect::<Vec<_>>()
-            );
-        }
-        // Work counters flowed into the trace from the hot paths.
-        assert!(trace.counter("link_calls") > 0);
-        assert!(trace.counter("edges_linked") > 0);
-        assert!(trace.counter("vertices_skipped") > 0);
-        // Phase spans account for (nearly) the whole session.
-        assert!(trace.depth_total_ns(0) <= trace.total_ns);
-        assert!(trace.depth_total_ns(0) > trace.total_ns / 2);
-    }
 }

@@ -95,24 +95,34 @@ pub fn write_binary<P: AsRef<Path>>(g: &CsrGraph, path: P) -> io::Result<()> {
 /// describe a CSR structure — come back as [`Error::Malformed`] /
 /// [`Error::InvalidGraph`] rather than panicking.
 pub fn read_binary<P: AsRef<Path>>(path: P) -> Result<CsrGraph> {
-    let mut r = BufReader::new(File::open(path)?);
+    let file = File::open(path)?;
+    // Bytes past the magic and the two counts.
+    let left = file.metadata()?.len().saturating_sub(24);
+    let mut r = BufReader::new(file);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
         return Err(Error::malformed("AFCSR", "not an AFCSR file (bad magic)"));
     }
-    let n = read_u64(&mut r)? as usize;
-    let arcs = read_u64(&mut r)? as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(read_u64(&mut r)? as usize);
-    }
-    let mut targets = Vec::with_capacity(arcs);
-    let mut buf = [0u8; 4];
-    for _ in 0..arcs {
-        r.read_exact(&mut buf)?;
-        targets.push(Node::from_le_bytes(buf));
-    }
+    let declared_n = read_u64(&mut r)?;
+    let declared_arcs = read_u64(&mut r)?;
+    // n + 1 u64 offsets, then `arcs` u32 targets.
+    let (num_offsets, arcs) = len_within(declared_arcs, 4, left)
+        .and_then(|arcs| {
+            let left = left - 4 * declared_arcs;
+            Some((len_within(declared_n.checked_add(1)?, 8, left)?, arcs))
+        })
+        .ok_or_else(|| {
+            Error::malformed(
+                "AFCSR",
+                format!(
+                    "header declares {declared_n} vertices and {declared_arcs} arcs, \
+                     more than the file holds"
+                ),
+            )
+        })?;
+    let offsets = read_words(&mut r, num_offsets, |b| u64::from_le_bytes(b) as usize)?;
+    let targets = read_words(&mut r, arcs, Node::from_le_bytes)?;
     if offsets.last().copied() != Some(arcs) {
         return Err(Error::malformed(
             "AFCSR",
@@ -126,6 +136,38 @@ fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     let mut buf = [0u8; 8];
     r.read_exact(&mut buf)?;
     Ok(u64::from_le_bytes(buf))
+}
+
+/// Words decoded per `read` call of [`read_words`].
+const READ_WORDS: usize = 1 << 16;
+
+/// Reads `count` little-endian words of `N` bytes each, a bounded buffer
+/// at a time. `count` must already be checked against the file
+/// ([`len_within`]): it is allocated for up front.
+fn read_words<const N: usize, T>(
+    r: &mut impl Read,
+    count: usize,
+    decode: impl Fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let mut words = Vec::with_capacity(count);
+    let mut buf = vec![0u8; N * READ_WORDS.min(count)];
+    while words.len() < count {
+        let bytes = &mut buf[..N * READ_WORDS.min(count - words.len())];
+        r.read_exact(bytes)?;
+        words.extend(bytes.as_chunks::<N>().0.iter().map(|&w| decode(w)));
+    }
+    Ok(words)
+}
+
+/// `count` as a `usize`, if `count` items of `width` bytes fit in the
+/// `left` bytes the file still holds. Readers check each length field
+/// with it before allocating, so a corrupt length is a
+/// [`Error::Malformed`] rather than an allocation of the size it claims.
+fn len_within(count: u64, width: u64, left: u64) -> Option<usize> {
+    count
+        .checked_mul(width)
+        .filter(|&bytes| bytes <= left)
+        .and_then(|_| usize::try_from(count).ok())
 }
 
 /// Magic bytes identifying a serialized node array (parent snapshots,
@@ -201,7 +243,10 @@ pub fn write_node_slices<P: AsRef<Path>>(path: P, slices: &[&[Node]]) -> io::Res
 /// truncation, and checksum mismatches all come back as errors, never a
 /// panic.
 pub fn read_node_array<P: AsRef<Path>>(path: P) -> Result<Vec<Node>> {
-    let mut r = BufReader::new(File::open(path)?);
+    let file = File::open(path)?;
+    // Bytes past the magic and the length, less the trailing checksum.
+    let left = file.metadata()?.len().saturating_sub(24);
+    let mut r = BufReader::new(file);
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     let v1 = match &magic {
@@ -209,13 +254,14 @@ pub fn read_node_array<P: AsRef<Path>>(path: P) -> Result<Vec<Node>> {
         ARRAY_MAGIC_V1 => true,
         _ => return Err(Error::malformed("AFARR", "not an AFARR file (bad magic)")),
     };
-    let len = read_u64(&mut r)? as usize;
-    let mut payload = vec![
-        0u8;
-        len.checked_mul(4).ok_or_else(|| {
-            Error::malformed("AFARR", "declared length overflows")
-        })?
-    ];
+    let declared_len = read_u64(&mut r)?;
+    let len = len_within(declared_len, 4, left).ok_or_else(|| {
+        Error::malformed(
+            "AFARR",
+            format!("declared length {declared_len} exceeds the file"),
+        )
+    })?;
+    let mut payload = vec![0u8; 4 * len];
     r.read_exact(&mut payload)?;
     let declared = read_u64(&mut r)?;
     let nodes: Vec<Node> = payload
@@ -275,12 +321,15 @@ mod tests {
 
     #[test]
     fn binary_roundtrip_exact() {
-        let g = uniform_random(300, 1500, 6);
-        let p = tempfile("roundtrip.acsr");
-        write_binary(&g, &p).unwrap();
-        let g2 = read_binary(&p).unwrap();
-        std::fs::remove_file(&p).unwrap();
-        assert_eq!(g, g2);
+        // The second graph's offsets and targets span several read buffers.
+        for (n, m) in [(300, 1500), (100_000, 150_000)] {
+            let g = uniform_random(n, m, 6);
+            let p = tempfile("roundtrip.acsr");
+            write_binary(&g, &p).unwrap();
+            let g2 = read_binary(&p).unwrap();
+            std::fs::remove_file(&p).unwrap();
+            assert_eq!(g, g2);
+        }
     }
 
     #[test]
@@ -312,6 +361,57 @@ mod tests {
         write_node_array(&p2, &[]).unwrap();
         assert_eq!(read_node_array(&p2).unwrap(), Vec::<Node>::new());
         std::fs::remove_file(&p2).unwrap();
+    }
+
+    #[test]
+    fn node_array_length_beyond_the_file_is_malformed() {
+        let p = tempfile("overlong.arr");
+        write_node_array(&p, &[0, 0, 1]).unwrap();
+        let bytes = std::fs::read(&p).unwrap();
+        // 4 is one slot too many; 2^33 slots would take 32 GiB; the last
+        // two overflow a byte count.
+        for claim in [4, 1 << 33, u64::MAX / 4 + 1, u64::MAX] {
+            let mut bad = bytes.clone();
+            bad[8..16].copy_from_slice(&claim.to_le_bytes());
+            std::fs::write(&p, &bad).unwrap();
+            match read_node_array(&p) {
+                Err(Error::Malformed { detail, .. }) => {
+                    assert!(detail.contains("exceeds the file"), "{claim}: {detail}")
+                }
+                other => panic!("length {claim}: expected Malformed, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn binary_csr_lengths_beyond_the_file_are_malformed() {
+        let p = tempfile("overlong.acsr");
+        write_binary(&GraphBuilder::from_edges(4, &[(0, 1), (2, 3)]).build(), &p).unwrap();
+        let bytes = std::fs::read(&p).unwrap();
+        // (vertices, arcs): one vertex or arc too many, 2^33 of either,
+        // and counts whose byte sizes or `n + 1` overflow.
+        for (n, arcs) in [
+            (5, 4),
+            (4, 5),
+            (1 << 33, 4),
+            (4, 1 << 33),
+            (u64::MAX, 4),
+            (4, u64::MAX),
+            (u64::MAX / 8, 0),
+        ] {
+            let mut bad = bytes.clone();
+            bad[8..16].copy_from_slice(&n.to_le_bytes());
+            bad[16..24].copy_from_slice(&arcs.to_le_bytes());
+            std::fs::write(&p, &bad).unwrap();
+            match read_binary(&p) {
+                Err(Error::Malformed { detail, .. }) => {
+                    assert!(detail.contains("more than the file holds"), "{detail}")
+                }
+                other => panic!("({n}, {arcs}): expected Malformed, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&p).unwrap();
     }
 
     #[test]
@@ -448,7 +548,9 @@ mod tests {
         std::fs::write(&p, &bytes[..bytes.len() / 2]).unwrap();
         let err = read_binary(&p).unwrap_err();
         std::fs::remove_file(&p).unwrap();
-        assert!(matches!(err, Error::Io(_)), "got {err}");
+        // The header's counts no longer fit the file: caught before any
+        // read or allocation.
+        assert!(matches!(err, Error::Malformed { .. }), "got {err}");
     }
 
     #[test]

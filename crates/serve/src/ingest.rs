@@ -3,10 +3,13 @@
 //! Clients enqueue edges; a single writer thread drains the queue in
 //! *coalesced batches* (the ConnectIt batch-dynamic pattern): a batch is
 //! cut when either `max_edges` edges are pending or `max_delay` has
-//! elapsed since the oldest pending edge arrived. Everything queued at
-//! drain time rides along, so a burst of small inserts becomes one
-//! `insert_batch` + one endpoint compress + one published epoch instead
-//! of many.
+//! elapsed since the previous cut (since the queue was created, before
+//! the first). Everything queued at drain time rides along, so a burst
+//! of small inserts becomes one `insert_batch` + one endpoint compress +
+//! one published epoch instead of many. Batches form because the writer
+//! was busy, not because it slept: an insert that reaches an idle writer
+//! is cut on arrival, while a steady stream is still cut at most once
+//! per `max_delay`.
 //!
 //! The queue's mutex also guards the engine's [`Ledger`]: what `Stats`
 //! and `flush` read. Edges move from queued to in flight to applied in
@@ -24,7 +27,9 @@ use std::time::{Duration, Instant};
 pub struct BatchPolicy {
     /// Cut as soon as this many edges are pending.
     pub max_edges: usize,
-    /// Cut at the latest this long after the oldest pending edge arrived.
+    /// Spacing of time-triggered cuts: a non-empty queue is cut once this
+    /// long has passed since the previous cut. No edge waits longer, and
+    /// an edge arriving after an idle spell this long does not wait.
     pub max_delay: Duration,
     /// Artificial extra apply time per batch, injected between linking
     /// and publishing. Used by tests and benchmarks to hold an epoch
@@ -77,7 +82,7 @@ pub enum Drained {
         /// The coalesced edges, oldest first.
         edges: Vec<(Node, Node)>,
         /// Arrival time of the batch's oldest edge — the anchor the
-        /// writer measures epoch publish lag from.
+        /// writer measures queue wait and epoch publish lag from.
         oldest: Instant,
         /// Trace context of the first *sampled* push coalesced into this
         /// batch ([`TraceCtx::NONE`] when no pusher was traced). The
@@ -89,11 +94,13 @@ pub enum Drained {
     Shutdown,
 }
 
-#[derive(Default)]
 struct QueueState {
     edges: VecDeque<(Node, Node)>,
-    /// Arrival time of the oldest pending edge (deadline anchor).
+    /// Arrival time of the oldest pending edge (queue-wait anchor).
     oldest: Option<Instant>,
+    /// When the last batch was cut, or the queue created before the
+    /// first cut (deadline anchor).
+    last_cut: Instant,
     /// Trace context of the first sampled push since the last drain.
     trace: TraceCtx,
     /// Totals; `queued` is read from `edges` instead.
@@ -102,10 +109,53 @@ struct QueueState {
 }
 
 /// The MPSC edge queue between request handlers and the writer thread.
-#[derive(Default)]
 pub struct IngestQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
+}
+
+impl Default for IngestQueue {
+    /// An empty queue whose deadline clock starts now: a writer with a
+    /// far `max_delay` never cuts on its own, even for its first edge.
+    fn default() -> Self {
+        Self {
+            state: Mutex::new(QueueState {
+                edges: VecDeque::new(),
+                oldest: None,
+                last_cut: Instant::now(),
+                trace: TraceCtx::default(),
+                ledger: Ledger::default(),
+                shutdown: false,
+            }),
+            ready: Condvar::new(),
+        }
+    }
+}
+
+/// How long the writer waits before cutting a batch out of `pending`
+/// queued edges, the last cut having been at `last_cut`: `None` while
+/// nothing is pending (wait for a push), zero when a batch is due now.
+///
+/// Each cut drains the whole queue, so the last cut is never later than
+/// the oldest pending edge's arrival, and no batch is due later than
+/// `max_delay` after its oldest edge.
+fn wait_before_cut(
+    pending: usize,
+    last_cut: Instant,
+    now: Instant,
+    policy: &BatchPolicy,
+) -> Option<Duration> {
+    if pending == 0 {
+        None
+    } else if pending >= policy.max_edges {
+        Some(Duration::ZERO)
+    } else {
+        Some(
+            policy
+                .max_delay
+                .saturating_sub(now.saturating_duration_since(last_cut)),
+        )
+    }
 }
 
 impl IngestQueue {
@@ -182,8 +232,8 @@ impl IngestQueue {
     }
 
     /// Blocks until a batch is due per `policy` (size or deadline
-    /// trigger) or shutdown. Coalesces *everything* pending into the
-    /// returned batch.
+    /// trigger, see [`BatchPolicy`]) or shutdown. Coalesces *everything*
+    /// pending into the returned batch.
     pub fn next_batch(&self, policy: &BatchPolicy) -> Drained {
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
@@ -194,31 +244,26 @@ impl IngestQueue {
                     Self::drain(&mut s)
                 };
             }
-            if s.edges.len() >= policy.max_edges {
-                return Self::drain(&mut s);
-            }
-            if let Some(oldest) = s.oldest {
-                let elapsed = oldest.elapsed();
-                if elapsed >= policy.max_delay {
-                    return Self::drain(&mut s);
-                }
+            s = match wait_before_cut(s.edges.len(), s.last_cut, Instant::now(), policy) {
+                None => self.ready.wait(s).unwrap_or_else(|e| e.into_inner()),
+                Some(wait) if wait.is_zero() => return Self::drain(&mut s),
                 // Deadline pending: sleep out the remainder (re-checked on
                 // wake, since a size trigger or shutdown may come first).
-                let (guard, _) = self
-                    .ready
-                    .wait_timeout(s, policy.max_delay - elapsed)
-                    .unwrap_or_else(|e| e.into_inner());
-                s = guard;
-            } else {
-                s = self.ready.wait(s).unwrap_or_else(|e| e.into_inner());
-            }
+                Some(wait) => {
+                    self.ready
+                        .wait_timeout(s, wait)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+            };
         }
     }
 
     fn drain(s: &mut QueueState) -> Drained {
+        s.last_cut = Instant::now();
         // `oldest` is set on every push into an empty queue, so a
         // non-empty drain always has one; the fallback is just defense.
-        let oldest = s.oldest.take().unwrap_or_else(Instant::now);
+        let oldest = s.oldest.take().unwrap_or(s.last_cut);
         s.ledger.in_flight = s.edges.len() as u64;
         Drained::Batch {
             edges: s.edges.drain(..).collect(),
@@ -261,23 +306,126 @@ mod tests {
 
     #[test]
     fn deadline_trigger_fires_for_small_batches() {
+        // A fresh queue counts the deadline from its creation, so a small
+        // batch pushed into it waits out the whole `max_delay`.
+        let created = Instant::now();
         let q = IngestQueue::default();
         q.push(&[(0, 1)]);
-        let t = Instant::now();
-        match q.next_batch(&policy(1_000_000, 20)) {
-            Drained::Batch { edges, oldest, .. } => {
-                assert_eq!(edges, vec![(0, 1)]);
-                // The lag anchor is the push time, so by drain time the
-                // full deadline has elapsed since `oldest`.
-                assert!(oldest.elapsed() >= Duration::from_millis(15));
-            }
-            Drained::Shutdown => panic!("expected a batch"),
-        }
+        assert_eq!(edges_of(q.next_batch(&policy(1_000_000, 20))), vec![(0, 1)]);
         assert!(
-            t.elapsed() >= Duration::from_millis(15),
+            created.elapsed() >= Duration::from_millis(20),
             "{:?}",
-            t.elapsed()
+            created.elapsed()
         );
+    }
+
+    #[test]
+    fn cut_rule_counts_the_deadline_from_the_last_cut() {
+        let p = policy(4, 10);
+        let ms = Duration::from_millis;
+        let cut = Instant::now();
+        // How long `pending` edges wait, `since` ms after the last cut.
+        let wait = |pending, since| wait_before_cut(pending, cut, cut + ms(since), &p);
+        // Nothing pending: wait for a push, however long ago the cut was.
+        assert_eq!(wait(0, 50), None);
+        // The size trigger fires at once.
+        assert_eq!(wait(4, 0), Some(Duration::ZERO));
+        // Within `max_delay` of the last cut: wait out the rest of it.
+        assert_eq!(wait(1, 3), Some(ms(7)));
+        // `max_delay` or more since the last cut: due now, however
+        // recently the pending edge arrived.
+        assert_eq!(wait(1, 10), Some(Duration::ZERO));
+        assert_eq!(wait(3, 500), Some(Duration::ZERO));
+        // A deadline too far to add to an `Instant` neither overflows nor
+        // comes due.
+        let far = BatchPolicy {
+            max_delay: Duration::MAX,
+            ..p
+        };
+        assert_eq!(
+            wait_before_cut(1, cut, cut + ms(1), &far),
+            Some(Duration::MAX - ms(1))
+        );
+    }
+
+    #[test]
+    fn push_after_an_idle_spell_is_cut_on_arrival() {
+        let p = policy(1_000_000, 100);
+        let q = IngestQueue::default();
+        q.push(&[(0, 1)]);
+        assert_eq!(edges_of(q.next_batch(&p)), vec![(0, 1)]);
+        // The writer idles for a full `max_delay` after that cut.
+        std::thread::sleep(p.max_delay);
+        q.push(&[(1, 2)]);
+        let pushed = Instant::now();
+        assert_eq!(edges_of(q.next_batch(&p)), vec![(1, 2)]);
+        // Anchored at the edge's own arrival, it would wait 100 ms more.
+        assert!(pushed.elapsed() < p.max_delay, "{:?}", pushed.elapsed());
+    }
+
+    #[test]
+    fn back_to_back_time_triggered_cuts_are_max_delay_apart() {
+        let p = policy(1_000_000, 20);
+        let q = IngestQueue::default();
+        let mut cuts = vec![q.state.lock().unwrap().last_cut];
+        for v in 0..3 {
+            q.push(&[(v, v + 1)]);
+            assert_eq!(edges_of(q.next_batch(&p)), vec![(v, v + 1)]);
+            cuts.push(q.state.lock().unwrap().last_cut);
+        }
+        for pair in cuts.windows(2) {
+            assert!(pair[1] - pair[0] >= p.max_delay, "{:?}", pair[1] - pair[0]);
+        }
+    }
+
+    #[test]
+    fn far_deadline_holds_edges_until_size_trigger_or_shutdown() {
+        let q = Arc::new(IngestQueue::default());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let writer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || loop {
+                let drained = q.next_batch(&policy(3, 600_000));
+                let done = drained == Drained::Shutdown;
+                tx.send(drained).unwrap();
+                if done {
+                    return;
+                }
+            })
+        };
+        let quiet = Duration::from_millis(50);
+        let recv = || rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        q.push(&[(0, 1)]);
+        assert!(rx.recv_timeout(quiet).is_err(), "cut before 600 s");
+        assert_eq!(q.ledger().queued, 1);
+        q.push(&[(1, 2), (2, 3)]);
+        assert_eq!(edges_of(recv()), vec![(0, 1), (1, 2), (2, 3)]);
+        q.push(&[(3, 4)]);
+        assert!(rx.recv_timeout(quiet).is_err(), "cut before 600 s");
+        q.shutdown();
+        assert_eq!(edges_of(recv()), vec![(3, 4)]);
+        assert_eq!(recv(), Drained::Shutdown);
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn batch_oldest_is_its_oldest_edge_arrival() {
+        let q = IngestQueue::default();
+        let p = policy(2, 600_000);
+        let oldest_of = |d: Drained| match d {
+            Drained::Batch { oldest, .. } => oldest,
+            Drained::Shutdown => panic!("expected a batch, got shutdown"),
+        };
+        for _ in 0..2 {
+            // The second batch anchors at its own first push, not at the
+            // cut before it.
+            let before = Instant::now();
+            q.push(&[(0, 1)]);
+            let first_pushed = Instant::now();
+            q.push(&[(1, 2)]);
+            let oldest = oldest_of(q.next_batch(&p));
+            assert!(before <= oldest && oldest <= first_pushed);
+        }
     }
 
     #[test]

@@ -881,6 +881,28 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_claiming_more_slots_than_it_holds_is_corrupt() {
+        let dir = tempdir("overlong-snap");
+        let mut cc = IncrementalCc::new(4);
+        let mut wal = Wal::open(&dir, 4, 1).unwrap();
+        wal.append(&[(0, 1)]).unwrap();
+        cc.insert(0, 1);
+        assert!(wal.maybe_compact(&Snapshot::new(0, &cc)).unwrap());
+        drop(wal);
+        // The length field (after the 8 magic bytes) claims 2^33 slots,
+        // 32 GiB, for a file of 4.
+        let snap = dir.join(SNAPSHOT_FILE);
+        let mut bytes = std::fs::read(&snap).unwrap();
+        bytes[8..16].copy_from_slice(&(1u64 << 33).to_le_bytes());
+        std::fs::write(&snap, &bytes).unwrap();
+        match recover(&dir, &[]) {
+            Err(WalError::Corrupt(why)) => assert!(why.contains("exceeds the file"), "{why}"),
+            other => panic!("expected Corrupt, got {:?}", other.err()),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn failed_compaction_is_retried_at_the_next_interval() {
         let dir = tempdir("compact-retry");
         let mut wal = Wal::open(&dir, 32, 4).unwrap();

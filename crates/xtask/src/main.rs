@@ -9,7 +9,8 @@
 //! - `cargo xtask ci` — the full gate: the analysis battery (JSON report
 //!   to `target/analysis.json`), fmt, clippy (`-D warnings`), the
 //!   workspace test suite at `RAYON_NUM_THREADS` 1, 2 and 4, the test
-//!   suite with the observability feature (`obs`), the
+//!   suite with the observability feature (`obs`), the benchmark
+//!   harness's unit tests (`perfbench/`, its own workspace), the
 //!   loopback serving smoke test ([`smoke`], also with obs off and on),
 //!   the crash-recovery smoke test ([`crash`], clean and with chaos
 //!   faults injected), the telemetry scrape smoke ([`metrics`]), the
@@ -190,6 +191,23 @@ fn run_ci() -> ExitCode {
                  afforest-bench/obs,afforest-cli/obs,afforest-serve/obs",
             ],
         ),
+        // The benchmark harness is a workspace of its own, so the passes
+        // above never build it; it path-depends on six crates, and an API
+        // change under crates/ that breaks it shows here, not first in a
+        // benchmark run. Its unit tests include the check that the
+        // metric catalogue equals BENCHMARK.json.
+        (
+            "perfbench tests",
+            &[],
+            "cargo",
+            &[
+                "test",
+                "--offline",
+                "-q",
+                "--manifest-path",
+                "perfbench/Cargo.toml",
+            ],
+        ),
         (
             "model check",
             &[],
@@ -340,7 +358,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!("usage: cargo xtask <lint|ci|crash|metrics|shard|tracesmoke|chaos>");
             eprintln!("  lint     the static analysis battery (crates/analysis, DESIGN.md section 13); --json <path> writes the report, --list-passes enumerates passes");
-            eprintln!("  ci       analysis battery + fmt --check + clippy -D warnings + tests (with and without obs) + model checker + serve/crash/metrics/shard smokes + chaos soak");
+            eprintln!("  ci       analysis battery + fmt --check + clippy -D warnings + tests (with and without obs) + perfbench unit tests + model checker + serve/crash/metrics/shard smokes + chaos soak");
             eprintln!("  crash    the WAL crash-recovery smoke alone");
             eprintln!("  metrics  the telemetry scrape smoke alone");
             eprintln!("  shard    the sharded serving smoke alone (router + workers + SIGKILL)");
