@@ -23,6 +23,19 @@ use afforest_graph::{CsrGraph, Node};
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
 
+/// `debug_assert!(pi.check_invariant(), msg…)` inside a depth-0
+/// `check-invariant` span, so a debug build's trace names the time the
+/// O(n) check takes between phases. Release builds compile out both.
+macro_rules! debug_check_invariant {
+    ($pi:expr, $($msg:tt)+) => {
+        #[cfg(debug_assertions)]
+        {
+            let _span = afforest_obs::span!("check-invariant");
+            assert!($pi.check_invariant(), $($msg)+);
+        }
+    };
+}
+
 /// Tuning knobs for [`afforest`]. `Default` reproduces the paper's
 /// configuration (2 neighbor rounds, 1024 samples, skipping enabled,
 /// compress between rounds).
@@ -295,10 +308,7 @@ fn run(g: &CsrGraph, cfg: &AfforestConfig, collect: bool) -> (ComponentLabels, R
         // Invariant 1 must hold at every round boundary, not just at the
         // end: a violation here pinpoints the round (and therefore the
         // sampled neighbor slice) that produced an upward edge.
-        debug_assert!(
-            pi.check_invariant(),
-            "Invariant 1 violated after link round {round}"
-        );
+        debug_check_invariant!(pi, "Invariant 1 violated after link round {round}");
 
         if cfg.compress_each_round {
             let t = Instant::now();
@@ -307,10 +317,7 @@ fn run(g: &CsrGraph, cfg: &AfforestConfig, collect: bool) -> (ComponentLabels, R
                 compress_all(&pi);
             }
             record(&mut stats, Phase::Compress(round), t);
-            debug_assert!(
-                pi.check_invariant(),
-                "Invariant 1 violated by compress after round {round}"
-            );
+            debug_check_invariant!(pi, "Invariant 1 violated by compress after round {round}");
         }
         if collect {
             stats.trees_after_round.push(pi.count_trees());
@@ -323,10 +330,7 @@ fn run(g: &CsrGraph, cfg: &AfforestConfig, collect: bool) -> (ComponentLabels, R
             compress_all(&pi);
         }
         record(&mut stats, Phase::Compress(cfg.neighbor_rounds - 1), t);
-        debug_assert!(
-            pi.check_invariant(),
-            "Invariant 1 violated by deferred compress"
-        );
+        debug_check_invariant!(pi, "Invariant 1 violated by deferred compress");
     }
 
     // Phase 3: identify the giant intermediate component (Fig. 5 line 10).
@@ -377,10 +381,7 @@ fn run(g: &CsrGraph, cfg: &AfforestConfig, collect: bool) -> (ComponentLabels, R
         stats.edges_processed += processed;
         stats.vertices_skipped = skipped;
     }
-    debug_assert!(
-        pi.check_invariant(),
-        "Invariant 1 violated by the final link pass"
-    );
+    debug_check_invariant!(pi, "Invariant 1 violated by the final link pass");
 
     // Phase 5: final compress (Fig. 5 lines 16–18).
     let t = Instant::now();
@@ -390,7 +391,7 @@ fn run(g: &CsrGraph, cfg: &AfforestConfig, collect: bool) -> (ComponentLabels, R
     }
     record(&mut stats, Phase::FinalCompress, t);
 
-    debug_assert!(pi.check_invariant(), "Invariant 1 violated");
+    debug_check_invariant!(pi, "Invariant 1 violated");
     (ComponentLabels::from_vec(pi.snapshot()), stats)
 }
 

@@ -24,7 +24,7 @@ use crate::events::{self, EventKind};
 use crate::faults::FaultPlan;
 use crate::ingest::{BatchPolicy, Drained, IngestQueue};
 use crate::metrics::{metrics, tenant_metrics, TenantMetrics};
-use crate::protocol::{Request, Response, StatsReport};
+use crate::protocol::{Request, Response, StatsReport, MAX_RESOLVE_IDS};
 use crate::server::ServeError;
 use crate::snapshot::{Snapshot, SnapshotStore};
 use crate::tenant::TenantId;
@@ -208,7 +208,35 @@ impl Engine {
                 Response::NumComponents(self.snapshot().num_components() as u64)
             }
             Request::InsertEdges(edges) => self.insert(edges),
+            Request::Resolve(ids) => self.resolve(ids),
             _ => Response::Err("not a data request".into()),
+        }
+    }
+
+    /// Answers [`Request::Resolve`] from one snapshot, so every label,
+    /// size, the epoch and the component count belong to one epoch. Any
+    /// out-of-range id fails the whole request, as does one whose answer
+    /// would not fit in a frame.
+    fn resolve(&self, ids: &[Node]) -> Response {
+        if ids.len() > MAX_RESOLVE_IDS {
+            metrics().protocol_errors.inc();
+            return Response::Err(format!(
+                "resolve of {} ids exceeds the {MAX_RESOLVE_IDS} one answer frame holds",
+                ids.len()
+            ));
+        }
+        let snap = self.snapshot();
+        let mut entries = Vec::with_capacity(ids.len());
+        for &u in ids {
+            match snap.resolve(u) {
+                Some(entry) => entries.push(entry),
+                None => return self.range_error(u),
+            }
+        }
+        Response::Resolved {
+            epoch: snap.epoch,
+            num_components: snap.num_components() as u64,
+            entries,
         }
     }
 

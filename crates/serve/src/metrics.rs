@@ -23,7 +23,7 @@ use afforest_obs::registry::{self, Counter, Gauge, Hist};
 use std::sync::OnceLock;
 
 /// Number of request opcodes tracked per-op.
-pub const OPS: usize = 12;
+pub const OPS: usize = 13;
 
 /// Exposition-name suffix per op, indexed like [`op_index`].
 pub const OP_NAMES: [&str; OPS] = [
@@ -39,6 +39,7 @@ pub const OP_NAMES: [&str; OPS] = [
     "drop_tenant",
     "list_tenants",
     "dump_traces",
+    "resolve",
 ];
 
 /// The per-op metric index of a request.
@@ -56,6 +57,7 @@ pub fn op_index(req: &Request) -> usize {
         Request::DropTenant { .. } => 9,
         Request::ListTenants => 10,
         Request::DumpTraces => 11,
+        Request::Resolve(..) => 12,
     }
 }
 
@@ -159,6 +161,7 @@ pub fn metrics() -> &'static ServeMetrics {
             registry::counter("afforest_requests_drop_tenant_total"),
             registry::counter("afforest_requests_list_tenants_total"),
             registry::counter("afforest_requests_dump_traces_total"),
+            registry::counter("afforest_requests_resolve_total"),
         ],
         latency: [
             registry::histogram("afforest_request_latency_connected_ns"),
@@ -173,6 +176,7 @@ pub fn metrics() -> &'static ServeMetrics {
             registry::histogram("afforest_request_latency_drop_tenant_ns"),
             registry::histogram("afforest_request_latency_list_tenants_ns"),
             registry::histogram("afforest_request_latency_dump_traces_ns"),
+            registry::histogram("afforest_request_latency_resolve_ns"),
         ],
         bytes_read: registry::counter("afforest_bytes_read_total"),
         bytes_written: registry::counter("afforest_bytes_written_total"),
@@ -220,6 +224,7 @@ mod tests {
             },
             Request::ListTenants,
             Request::DumpTraces,
+            Request::Resolve(vec![]),
         ];
         let mut seen = [false; OPS];
         for r in &reqs {

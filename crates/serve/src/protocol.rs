@@ -122,6 +122,11 @@ pub enum Request {
     /// workers alike, so `afforest trace` can merge one tree across
     /// processes.
     DumpTraces,
+    /// The component label and size of each id, all read from one
+    /// snapshot; answered with [`Response::Resolved`]. This is the shard
+    /// router's one call per worker per read (DESIGN.md §15); the router
+    /// itself refuses it.
+    Resolve(Vec<Node>),
 }
 
 /// A server response.
@@ -179,6 +184,16 @@ pub enum Response {
     /// [`Response::Err`] instead, because a pre-v2 client has no way to
     /// learn the answer is partial.
     Degraded(Box<Response>),
+    /// Answer to [`Request::Resolve`], read from one snapshot.
+    Resolved {
+        /// Epoch of the snapshot every entry was read from.
+        epoch: u64,
+        /// Component count in that snapshot.
+        num_components: u64,
+        /// `(component label, component size)` per requested id, in
+        /// request order.
+        entries: Vec<(Node, u64)>,
+    },
 }
 
 /// Server-side statistics, answering [`Request::Stats`] for one tenant.
@@ -229,6 +244,19 @@ pub struct StatsReport {
 /// Bytes of one encoded span in a [`Response::Traces`] payload: seven
 /// fixed-width `u64` fields.
 const SPAN_WIRE_BYTES: usize = 7 * 8;
+
+/// Bytes of one `(label: u32, size: u64)` entry of a
+/// [`Response::Resolved`] payload.
+const RESOLVED_ENTRY_BYTES: usize = 4 + 8;
+
+/// Bytes of a [`Response::Resolved`] payload before its entries: opcode,
+/// epoch, component count and entry count.
+const RESOLVED_HEADER_BYTES: usize = 1 + 8 + 8 + 4;
+
+/// Most ids one [`Request::Resolve`] may carry: the most whose answer
+/// fits in [`MAX_FRAME_LEN`]. A server refuses a longer request with
+/// [`Response::Err`] rather than truncate its answer.
+pub const MAX_RESOLVE_IDS: usize = (MAX_FRAME_LEN - RESOLVED_HEADER_BYTES) / RESOLVED_ENTRY_BYTES;
 
 // Field tags of the self-describing v2 `Stats` payload. Tags are stable;
 // new fields take fresh tags and old decoders skip them.
@@ -340,6 +368,7 @@ const OP_CREATE_TENANT: u8 = 0x09;
 const OP_DROP_TENANT: u8 = 0x0A;
 const OP_LIST_TENANTS: u8 = 0x0B;
 const OP_DUMP_TRACES: u8 = 0x0C;
+const OP_RESOLVE: u8 = 0x0D;
 
 // Response opcodes.
 const OP_R_CONNECTED: u8 = 0x81;
@@ -356,6 +385,7 @@ const OP_R_TENANT_DROPPED: u8 = 0x8B;
 const OP_R_TENANTS: u8 = 0x8C;
 const OP_R_DEGRADED: u8 = 0x8D;
 const OP_R_TRACES: u8 = 0x8E;
+const OP_R_RESOLVED: u8 = 0x8F;
 const OP_R_ERR: u8 = 0xC0;
 
 /// Incremental little-endian payload reader with typed errors.
@@ -495,6 +525,14 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::ListTenants => out.push(OP_LIST_TENANTS),
         Request::DumpTraces => out.push(OP_DUMP_TRACES),
+        Request::Resolve(ids) => {
+            out.reserve(5 + ids.len() * 4);
+            out.push(OP_RESOLVE);
+            push_u32(&mut out, ids.len() as u32);
+            for &u in ids {
+                push_u32(&mut out, u);
+            }
+        }
     }
     out
 }
@@ -603,6 +641,25 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, FrameError> {
         },
         OP_LIST_TENANTS => Request::ListTenants,
         OP_DUMP_TRACES => Request::DumpTraces,
+        OP_RESOLVE => {
+            let count = c.u32()? as usize;
+            // A lying count is caught against the payload length before
+            // any allocation, as for `InsertEdges`.
+            let declared = count
+                .checked_mul(4)
+                .ok_or(FrameError::BadPayload("id count overflows"))?;
+            if payload.len() < 5 + declared {
+                return Err(FrameError::Truncated {
+                    needed: 5 + declared,
+                    got: payload.len(),
+                });
+            }
+            let mut ids = Vec::with_capacity(count);
+            for _ in 0..count {
+                ids.push(c.u32()?);
+            }
+            Request::Resolve(ids)
+        }
         op => return Err(FrameError::UnknownOpcode(op)),
     };
     c.finish()?;
@@ -720,6 +777,21 @@ fn encode_response_with(resp: &Response, version: WireVersion) -> Vec<u8> {
                 push_u64(&mut out, s.arg);
                 push_u64(&mut out, s.start_us);
                 push_u64(&mut out, s.dur_ns);
+            }
+        }
+        Response::Resolved {
+            epoch,
+            num_components,
+            entries,
+        } => {
+            out.reserve(RESOLVED_HEADER_BYTES + entries.len() * RESOLVED_ENTRY_BYTES);
+            out.push(OP_R_RESOLVED);
+            push_u64(&mut out, *epoch);
+            push_u64(&mut out, *num_components);
+            push_u32(&mut out, entries.len() as u32);
+            for &(label, size) in entries {
+                push_u32(&mut out, label);
+                push_u64(&mut out, size);
             }
         }
         Response::Degraded(inner) => match version {
@@ -880,6 +952,31 @@ fn decode_response_with(payload: &[u8], version: WireVersion) -> Result<Response
             }
             Response::Traces { node, spans }
         }
+        OP_R_RESOLVED => {
+            let epoch = c.u64()?;
+            let num_components = c.u64()?;
+            let count = c.u32()? as usize;
+            // Fixed-width entries: a lying count is caught against the
+            // payload length before any allocation.
+            let declared = count
+                .checked_mul(RESOLVED_ENTRY_BYTES)
+                .ok_or(FrameError::BadPayload("entry count overflows"))?;
+            if payload.len() < RESOLVED_HEADER_BYTES + declared {
+                return Err(FrameError::Truncated {
+                    needed: RESOLVED_HEADER_BYTES + declared,
+                    got: payload.len(),
+                });
+            }
+            let mut entries = Vec::with_capacity(count);
+            for _ in 0..count {
+                entries.push((c.u32()?, c.u64()?));
+            }
+            Response::Resolved {
+                epoch,
+                num_components,
+                entries,
+            }
+        }
         OP_R_DEGRADED => {
             let rest = c.rest();
             // Reject nesting before recursing: a payload of repeated
@@ -1014,6 +1111,8 @@ mod tests {
             },
             Request::ListTenants,
             Request::DumpTraces,
+            Request::Resolve(vec![]),
+            Request::Resolve(vec![0, 7, u32::MAX]),
         ]
     }
 
@@ -1066,6 +1165,16 @@ mod tests {
             Response::Traces {
                 node: "serve".into(),
                 spans: (0..5).map(sample_span).collect(),
+            },
+            Response::Resolved {
+                epoch: 0,
+                num_components: 1,
+                entries: vec![],
+            },
+            Response::Resolved {
+                epoch: u64::MAX - 1,
+                num_components: 1 << 33,
+                entries: vec![(0, 1), (u32::MAX, 1 << 40), (7, 3)],
             },
         ]
     }
@@ -1430,6 +1539,26 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn resolve_counts_must_match_payload() {
+        // A request claiming 1000 ids but carrying one.
+        let mut enc = vec![OP_RESOLVE];
+        enc.extend_from_slice(&1000u32.to_le_bytes());
+        enc.extend_from_slice(&[0u8; 4]);
+        let err = decode_request(&enc).unwrap_err();
+        assert!(matches!(err, FrameError::Truncated { .. }), "{err:?}");
+        // An answer claiming 1M entries but carrying none.
+        let mut enc = vec![OP_R_RESOLVED];
+        enc.extend_from_slice(&[0u8; 16]);
+        enc.extend_from_slice(&1_000_000u32.to_le_bytes());
+        let err = decode_response(&enc).unwrap_err();
+        assert!(matches!(err, FrameError::Truncated { .. }), "{err:?}");
+        // The largest answer a server may send fits in one frame.
+        let largest = RESOLVED_HEADER_BYTES + MAX_RESOLVE_IDS * RESOLVED_ENTRY_BYTES;
+        assert!(largest <= MAX_FRAME_LEN);
+        assert!(largest + RESOLVED_ENTRY_BYTES > MAX_FRAME_LEN);
     }
 
     #[test]

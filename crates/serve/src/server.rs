@@ -493,6 +493,38 @@ mod tests {
     }
 
     #[test]
+    fn resolve_answers_every_id_from_one_snapshot() {
+        let server = Server::new(6, &[(0, 1), (1, 2), (4, 5)], quick_config()).unwrap();
+        assert_eq!(
+            server.handle(&Request::Resolve(vec![2, 3, 5, 0])),
+            Response::Resolved {
+                epoch: 0,
+                num_components: 3,
+                entries: vec![(0, 3), (3, 1), (4, 2), (0, 3)],
+            }
+        );
+        // No ids: the epoch and the count alone.
+        assert_eq!(
+            server.handle(&Request::Resolve(vec![])),
+            Response::Resolved {
+                epoch: 0,
+                num_components: 3,
+                entries: vec![],
+            }
+        );
+        match server.handle(&Request::Resolve(vec![0, 6])) {
+            Response::Err(msg) => assert!(msg.contains("out of range"), "{msg}"),
+            other => panic!("out-of-range resolve answered {other:?}"),
+        }
+        // An answer that would not fit in a frame is refused, not cut.
+        let too_many = vec![0; crate::protocol::MAX_RESOLVE_IDS + 1];
+        match server.handle(&Request::Resolve(too_many)) {
+            Response::Err(msg) => assert!(msg.contains("exceeds"), "{msg}"),
+            other => panic!("oversized resolve answered {other:?}"),
+        }
+    }
+
+    #[test]
     fn inserts_become_visible_after_flush() {
         let server = Server::new(4, &[], quick_config()).unwrap();
         assert_eq!(

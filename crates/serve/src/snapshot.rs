@@ -140,7 +140,14 @@ impl Snapshot {
 
     /// Size of `u`'s component (`None` if out of range).
     pub fn component_size(&self, u: Node) -> Option<u64> {
-        Some(get(&self.sizes, self.component(u)?) as u64)
+        self.resolve(u).map(|(_, size)| size)
+    }
+
+    /// `u`'s representative and its component's size, from one walk
+    /// (`None` if out of range).
+    pub fn resolve(&self, u: Node) -> Option<(Node, u64)> {
+        let root = self.component(u)?;
+        Some((root, get(&self.sizes, root) as u64))
     }
 
     /// Number of components.

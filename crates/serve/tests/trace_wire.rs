@@ -23,7 +23,7 @@ fn arb_tenant() -> impl Strategy<Value = TenantId> {
 fn arb_request() -> impl Strategy<Value = Request> {
     let edges = proptest::collection::vec((any::<u32>(), any::<u32>()), 0..16);
     (
-        0usize..12,
+        0usize..13,
         any::<u32>(),
         any::<u32>(),
         edges,
@@ -42,6 +42,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
             8 => Request::CreateTenant { name, vertices },
             9 => Request::DropTenant { name },
             10 => Request::DumpTraces,
+            11 => Request::Resolve(edges.iter().flat_map(|&(u, v)| [u, v]).collect()),
             _ => Request::ListTenants,
         })
 }

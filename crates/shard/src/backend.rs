@@ -75,9 +75,10 @@ impl fmt::Display for ShardUnavailable {
 ///
 /// `call` must answer every *data* request ([`Request::Connected`],
 /// [`Request::Component`], [`Request::ComponentSize`],
-/// [`Request::NumComponents`], [`Request::InsertEdges`]) plus
-/// [`Request::Stats`], all phrased in the shard's **local** vertex
-/// ids. A shard that answers — even with [`Response::Err`] or
+/// [`Request::NumComponents`], [`Request::InsertEdges`],
+/// [`Request::Resolve`]) plus [`Request::Stats`], all phrased in the
+/// shard's **local** vertex ids. The router's reads send only
+/// `Resolve`. A shard that answers — even with [`Response::Err`] or
 /// [`Response::Overloaded`] — yields `Ok`; `Err(ShardUnavailable)` is
 /// reserved for calls that produced *no* answer, so the router can
 /// tell a sick shard from a request it should relay unchanged.

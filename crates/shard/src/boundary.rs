@@ -11,9 +11,9 @@
 //! derived from the full set.
 //!
 //! The store carries a monotonically increasing `version` (bumped once
-//! per *stored* edge, so it is also the stored-edge count) which the
-//! router uses, together with per-shard epochs, to key its
-//! composite-connectivity cache.
+//! per *stored* edge, so it is also the stored-edge count). Stored edges
+//! are append-only, so the router extends the cut its cached composite
+//! was built from with [`BoundaryStore::edges_since`] its version.
 //!
 //! With [`BoundaryStore::with_log`] the store is backed by an edge log
 //! in the WAL's file format (`afforest_serve::wal`): a header naming
@@ -133,11 +133,15 @@ impl BoundaryStore {
         fresh.len()
     }
 
-    /// The current version and a copy of the stored forest edges,
-    /// read atomically.
-    pub fn snapshot_edges(&self) -> (u64, Vec<(Node, Node)>) {
+    /// The current version and the edges stored after `version`, read
+    /// atomically; `edges_since(0)` is the whole forest. Stored edges are
+    /// append-only and the version counts them, so a caller holding the
+    /// forest at `version` extends it to the current one by appending
+    /// the suffix. A `version` ahead of the store yields no edges.
+    pub fn edges_since(&self, version: u64) -> (u64, Vec<(Node, Node)>) {
         let g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        (g.version, g.stored.clone())
+        let from = usize::try_from(version).unwrap_or(usize::MAX);
+        (g.version, g.stored.iter().skip(from).copied().collect())
     }
 
     /// Number of edges currently stored (the version, read under the
@@ -174,9 +178,22 @@ mod tests {
         assert_eq!(store.observe_batch(&[(0, 5), (5, 9)]), 2);
         // (0, 9) closes a cycle in the cut-edge forest: dropped.
         assert_eq!(store.observe_batch(&[(0, 9)]), 0);
-        let (version, edges) = store.snapshot_edges();
+        let (version, edges) = store.edges_since(0);
         assert_eq!(version, 2);
         assert_eq!(edges, vec![(0, 5), (5, 9)]);
+    }
+
+    #[test]
+    fn edges_since_returns_the_suffix_after_a_version() {
+        let store = BoundaryStore::new(10);
+        assert_eq!(store.edges_since(0), (0, vec![]));
+        store.observe_batch(&[(0, 5), (5, 9)]);
+        store.observe_batch(&[(0, 9), (1, 6)]);
+        assert_eq!(store.edges_since(0), (3, vec![(0, 5), (5, 9), (1, 6)]));
+        assert_eq!(store.edges_since(2), (3, vec![(1, 6)]));
+        assert_eq!(store.edges_since(3), (3, vec![]));
+        // A version the store never reached: nothing, not a panic.
+        assert_eq!(store.edges_since(7), (3, vec![]));
     }
 
     #[test]
@@ -195,7 +212,7 @@ mod tests {
             store.observe_batch(&[(0, 5), (5, 9), (0, 9)]);
         }
         let store = BoundaryStore::with_log(10, &path).unwrap();
-        let (version, edges) = store.snapshot_edges();
+        let (version, edges) = store.edges_since(0);
         assert_eq!(version, 2);
         assert_eq!(edges, vec![(0, 5), (5, 9)]);
         assert_eq!(store.recovery().batches, 1);
@@ -217,7 +234,7 @@ mod tests {
         f.write_all(&[0xde, 0xad, 0xbe]).unwrap();
         drop(f);
         let store = BoundaryStore::with_log(10, &path).unwrap();
-        assert_eq!(store.snapshot_edges().1, vec![(0, 5)]);
+        assert_eq!(store.edges_since(0).1, vec![(0, 5)]);
         assert!(store.recovery().truncated);
         assert_eq!(fs::read(&path).unwrap(), clean, "cut at a record boundary");
         let _ = fs::remove_dir_all(&dir);
@@ -244,7 +261,7 @@ mod tests {
 
         let store = BoundaryStore::with_log(10, &path).unwrap();
         assert_eq!(
-            store.snapshot_edges(),
+            store.edges_since(0),
             (1, vec![(0, 5)]),
             "exactly the first batch's forest; (1, 7) was never inserted"
         );

@@ -60,7 +60,7 @@ pub mod router;
 pub use backend::{ShardBackend, ShardUnavailable};
 pub use boundary::{BoundaryStore, BOUNDARY_LOG};
 pub use cluster::{shard_tenant_name, LocalCluster};
-pub use compose::{Composite, CompositeClass};
+pub use compose::{Composite, CompositeClass, ShardView};
 pub use health::{Gate, HealthConfig, HealthState, HealthTracker, Transition};
 pub use metrics::{router_metrics, RouterMetrics, ShardSeries};
 pub use park::{park_path, ParkSet};

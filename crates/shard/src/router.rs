@@ -27,12 +27,19 @@
 //! gauge and `shard_health_changed` flight events; parking drives
 //! `afforest_parked_batches` and `park_replayed`.
 //!
-//! The composite view is cached and keyed on (boundary version, shard
-//! epoch vector): any shard publishing a new epoch, or a new cut edge
-//! being stored, invalidates it. A Down shard's epoch is pinned to
-//! `u64::MAX`, so a degraded composite stays cached for as long as the
-//! shard stays away. Answers are therefore eventually consistent with
-//! the same lag a single engine's epoch snapshots already have.
+//! Reads cost one `Resolve` call per shard: each live shard answers the
+//! read's ids on it, possibly none, with the labels, sizes, epoch and
+//! component count of one snapshot. The composite is cached together
+//! with one view per shard (epoch, component count, cut endpoint →
+//! label and size); a shard whose answered epoch differs from its view,
+//! or that new cut edges touch, is asked once more for the read's ids
+//! plus all its cut endpoints, and the composite is rebuilt over the
+//! new views and the cached views of the unmoved shards. A Down shard's
+//! view has epoch `u64::MAX`, so a degraded composite stays cached for
+//! as long as the shard stays away. Every answer is exact over one
+//! snapshot per shard and one boundary version; answers are eventually
+//! consistent with the same lag a single engine's epoch snapshots
+//! already have (DESIGN.md §15).
 
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
@@ -45,11 +52,71 @@ use afforest_serve::{Endpoint, Request, Response, StatsReport, TenantId};
 
 use crate::backend::{ShardBackend, ShardUnavailable};
 use crate::boundary::BoundaryStore;
-use crate::compose::{self, Composite};
+use crate::compose::{self, Composite, CompositeClass, ShardView};
 use crate::health::{Gate, HealthConfig, HealthTracker, Transition};
 use crate::metrics::{router_metrics, RouterMetrics};
 use crate::park::ParkSet;
 use crate::plan::ShardPlan;
+
+/// One shard's `Resolved` answer.
+struct Answer {
+    epoch: u64,
+    num_components: u64,
+    entries: Vec<(Node, u64)>,
+}
+
+/// One shard's part of a read: its view in the composite and the
+/// read's entries on it (`None` while it is down), from one snapshot.
+struct Part {
+    view: Arc<ShardView>,
+    entries: Option<Vec<(Node, u64)>>,
+}
+
+impl Part {
+    /// A down shard's part, keeping `old` when it was already down so
+    /// the composite over it stays cached.
+    fn down(old: Option<&Arc<ShardView>>) -> Part {
+        let view = match old {
+            Some(v) if v.is_down() => Arc::clone(v),
+            _ => Arc::new(ShardView::down()),
+        };
+        Part {
+            view,
+            entries: None,
+        }
+    }
+
+    /// The part for a first-call `answer`, or `None` when the shard's
+    /// view must be read again: it is `stale`, or the answer comes from
+    /// another snapshot than `old` (its epoch, or its component count
+    /// after a restart that reused an epoch number, differs).
+    fn unmoved(answer: Option<Answer>, old: Option<&Arc<ShardView>>, stale: bool) -> Option<Part> {
+        let Some(a) = answer else {
+            return Some(Part::down(old));
+        };
+        match old {
+            Some(v) if !stale && v.epoch == a.epoch && v.num_components == a.num_components => {
+                Some(Part {
+                    view: Arc::clone(v),
+                    entries: Some(a.entries),
+                })
+            }
+            _ => None,
+        }
+    }
+}
+
+/// A read id's representative `(shard, local label)` — the pseudo-rep
+/// `(shard, local id)` when its shard is down — and its local
+/// component's size (1 when down).
+type Rep = ((usize, Node), u64);
+
+/// A read's ids resolved against one composite.
+struct Read {
+    comp: Arc<Composite>,
+    /// One per read id, in order.
+    reps: Vec<Rep>,
+}
 
 /// A protocol endpoint routing requests across shards.
 pub struct Router<B: ShardBackend> {
@@ -210,6 +277,9 @@ impl<B: ShardBackend> Router<B> {
             Request::CreateTenant { .. } | Request::DropTenant { .. } => Response::Err(
                 "tenant administration is not available through the shard router".to_string(),
             ),
+            Request::Resolve(_) => Response::Err(
+                "resolve is a shard worker op, not available through the shard router".to_string(),
+            ),
         }
     }
 
@@ -247,6 +317,9 @@ impl<B: ShardBackend> Router<B> {
                 shard,
                 reason: "circuit open".into(),
             });
+        }
+        if let Some(ms) = self.metrics.shards.get(shard) {
+            ms.requests.inc();
         }
         match self.backend.call(shard, req) {
             Ok(resp) => {
@@ -291,6 +364,9 @@ impl<B: ShardBackend> Router<B> {
         let mut edges = 0u64;
         for batch in &batches {
             let len = batch.len() as u64;
+            if let Some(ms) = self.metrics.shards.get(shard) {
+                ms.requests.inc();
+            }
             match self
                 .backend
                 .call(shard, &Request::InsertEdges(batch.clone()))
@@ -315,7 +391,6 @@ impl<B: ShardBackend> Router<B> {
                 [shard as u64, delivered as u64, edges],
             );
             if let Some(ms) = self.metrics.shards.get(shard) {
-                ms.requests.add(delivered as u64);
                 ms.edges_routed.add(edges);
             }
         }
@@ -355,119 +430,289 @@ impl<B: ShardBackend> Router<B> {
         }
     }
 
-    /// Resolves global vertex `v` to its representative and whether the
-    /// resolution is degraded: the owning shard's local component
-    /// label, or — when the shard is unavailable — the *pseudo*
-    /// representative `(shard, local id of v)` that a degraded
-    /// composite keys cut endpoints by.
-    fn local_component(&self, v: Node) -> Result<((usize, Node), bool), Response> {
-        let s = self.plan.owner(v);
-        if let Some(ms) = self.metrics.shards.get(s) {
-            ms.requests.inc();
-        }
-        let local = self.plan.to_local(v);
-        match self.shard_call(s, &Request::Component(local)) {
-            Ok(Response::Component(label)) => Ok(((s, label), false)),
+    /// One `Resolve` of `ids` (local to `shard`), breaker-gated through
+    /// [`Router::shard_call`]. `Ok(None)` means the shard did not answer
+    /// and is down for this read; an in-band error or a malformed answer
+    /// is relayed as `Err`. A good answer refreshes the shard's epoch
+    /// gauge.
+    fn resolve(&self, shard: usize, ids: Vec<Node>) -> Result<Option<Answer>, Response> {
+        let asked = ids.len();
+        match self.shard_call(shard, &Request::Resolve(ids)) {
+            Ok(Response::Resolved {
+                epoch,
+                num_components,
+                entries,
+            }) if entries.len() == asked => {
+                if let Some(ms) = self.metrics.shards.get(shard) {
+                    ms.epoch.set(epoch);
+                }
+                Ok(Some(Answer {
+                    epoch,
+                    num_components,
+                    entries,
+                }))
+            }
             Ok(Response::Err(e)) => Err(Response::Err(e)),
             Ok(other) => Err(Response::Err(format!(
-                "shard {s} answered {other:?} to a component query"
+                "shard {shard} answered {other:?} to a resolve of {asked} id(s)"
             ))),
-            Err(_) => Ok(((s, local), true)),
+            Err(_) => Ok(None),
         }
+    }
+
+    /// Asks `shard` for the read's ids on it plus all its cut
+    /// endpoints, so the read's entries and the shard's new view come
+    /// from one snapshot.
+    fn reread(
+        &self,
+        shard: usize,
+        asked: &[Node],
+        endpoints: &[Node],
+        old: Option<&Arc<ShardView>>,
+    ) -> Result<Part, Response> {
+        let ids = asked.iter().chain(endpoints).copied().collect();
+        Ok(match self.resolve(shard, ids)? {
+            Some(mut a) => {
+                let resolved = a.entries.split_off(asked.len());
+                let view = ShardView {
+                    epoch: a.epoch,
+                    num_components: a.num_components,
+                    endpoints: endpoints.iter().copied().zip(resolved).collect(),
+                };
+                Part {
+                    view: Arc::new(view),
+                    entries: Some(a.entries),
+                }
+            }
+            None => Part::down(old),
+        })
+    }
+
+    /// Resolves the global `ids` of one read against a composite that
+    /// holds one snapshot per shard (DESIGN.md §15).
+    ///
+    /// Every live shard gets one `Resolve` carrying the read's ids on
+    /// it, possibly none, so the read observes every shard's current
+    /// epoch. A shard whose answer shows another epoch than its cached
+    /// view is asked once more, for the same ids plus all its cut
+    /// endpoints; a shard whose view is known stale beforehand (new cut
+    /// edges touch it, it was down, or nothing is cached) gets that
+    /// fuller call first. Views of unmoved shards are reused, and the
+    /// composite is rebuilt over the new views only when some view or
+    /// the cut changed. A shard whose call fails is down for this read.
+    ///
+    /// `first` is an answer already in hand for one shard's ids (the
+    /// same-shard `Connected` probe); it stands in for that shard's
+    /// first call.
+    fn read(
+        &self,
+        ids: &[Node],
+        mut first: Option<(usize, Option<Answer>)>,
+    ) -> Result<Read, Response> {
+        let plan = &self.plan;
+        let k = plan.num_shards();
+        let mut asked: Vec<Vec<Node>> = vec![Vec::new(); k];
+        for &v in ids {
+            if let Some(list) = asked.get_mut(plan.owner(v)) {
+                list.push(plan.to_local(v));
+            }
+        }
+        let prev = self.cached();
+        let since = prev.as_ref().map_or(0, |c| c.boundary_version);
+        let (version, fresh) = self.boundary.edges_since(since);
+        let mut touched = vec![false; k];
+        for &(u, v) in &fresh {
+            for w in [u, v] {
+                if let Some(t) = touched.get_mut(plan.owner(w)) {
+                    *t = true;
+                }
+            }
+        }
+        // The cut and its per-shard endpoints when they grew; an
+        // untouched shard's endpoints are the previous composite's.
+        let grown = (prev.is_none() || !fresh.is_empty()).then(|| {
+            let mut cut = prev.as_ref().map_or_else(Vec::new, |c| c.cut().to_vec());
+            cut.extend(fresh);
+            let endpoints = compose::endpoints(plan, &cut);
+            (cut, endpoints)
+        });
+        let endpoints_of = |s: usize| -> &[Node] {
+            match (&grown, &prev) {
+                (Some((_, ends)), _) => ends.get(s).map_or(&[], Vec::as_slice),
+                (None, Some(c)) => c.endpoints(s),
+                (None, None) => &[],
+            }
+        };
+        let old_view = |s: usize| prev.as_ref().and_then(|c| c.view(s));
+        let no_ids: &[Node] = &[];
+        let asked_on = |s: usize| asked.get(s).map_or(no_ids, Vec::as_slice);
+
+        // One call per shard; `None` marks a shard whose epoch moved.
+        let mut parts: Vec<Option<Part>> = Vec::with_capacity(k);
+        for s in 0..k {
+            let old = old_view(s);
+            let stale = touched.get(s).copied().unwrap_or(false) || old.is_none_or(|v| v.is_down());
+            let part = match first.take_if(|(f, _)| *f == s) {
+                Some((_, answer)) => Part::unmoved(answer, old, stale),
+                None if stale => Some(self.reread(s, asked_on(s), endpoints_of(s), old)?),
+                None => Part::unmoved(self.resolve(s, asked_on(s).to_vec())?, old, stale),
+            };
+            parts.push(part);
+        }
+        let unchanged = grown.is_none()
+            && parts
+                .iter()
+                .enumerate()
+                .all(|(s, p)| match (p, old_view(s)) {
+                    (Some(p), Some(old)) => Arc::ptr_eq(&p.view, old),
+                    _ => false,
+                });
+
+        let (comp, parts) = match prev {
+            Some(c) if unchanged => (c, parts.into_iter().flatten().collect()),
+            prev => {
+                let (cut, endpoints) = grown.unwrap_or_else(|| {
+                    prev.as_ref().map_or_else(Default::default, |c| {
+                        (
+                            c.cut().to_vec(),
+                            (0..k).map(|s| c.endpoints(s).to_vec()).collect(),
+                        )
+                    })
+                });
+                let _compose = StageSpan::begin_with(Stage::BoundaryCompose, cut.len() as u64);
+                let mut done = Vec::with_capacity(k);
+                for (s, part) in parts.into_iter().enumerate() {
+                    done.push(match part {
+                        Some(p) => p,
+                        None => {
+                            let old = prev.as_ref().and_then(|c| c.view(s));
+                            let ends = endpoints.get(s).map_or(no_ids, Vec::as_slice);
+                            self.reread(s, asked_on(s), ends, old)?
+                        }
+                    });
+                }
+                let views = done.iter().map(|p| Arc::clone(&p.view)).collect();
+                let built = Arc::new(compose::build(plan, version, cut, endpoints, views));
+                self.metrics.composite_rebuilds.inc();
+                self.store_cache(Arc::clone(&built));
+                (built, done)
+            }
+        };
+
+        // Each id's rep, in read order: the next entry its shard
+        // answered, or its pseudo-rep when the shard is down.
+        let mut entries: Vec<Option<std::vec::IntoIter<(Node, u64)>>> = parts
+            .into_iter()
+            .map(|p| p.entries.map(Vec::into_iter))
+            .collect();
+        let reps = ids
+            .iter()
+            .map(|&v| {
+                let s = plan.owner(v);
+                match entries
+                    .get_mut(s)
+                    .and_then(Option::as_mut)
+                    .and_then(Iterator::next)
+                {
+                    Some((label, size)) => ((s, label), size),
+                    None => ((s, plan.to_local(v)), 1),
+                }
+            })
+            .collect();
+        Ok(Read { comp, reps })
+    }
+
+    /// The class of `rep` in `comp`, if its component touches a cut edge.
+    fn class(comp: &Composite, rep: (usize, Node)) -> Option<&CompositeClass> {
+        comp.class_of(rep).and_then(|i| comp.class(i))
     }
 
     fn connected(&self, u: Node, v: Node) -> Response {
         if let Some(e) = self.check_range(u).or_else(|| self.check_range(v)) {
             return e;
         }
-        let (ru, du) = match self.local_component(u) {
-            Ok(r) => r,
-            Err(e) => return e,
-        };
-        let (rv, dv) = match self.local_component(v) {
-            Ok(r) => r,
-            Err(e) => return e,
-        };
-        if ru == rv && !du && !dv {
-            // Same live local component: global truth, no composite
-            // needed — reads within surviving shards stay undegraded.
-            return Response::Connected(true);
-        }
-        let comp = match self.composite() {
-            Ok(c) => c,
-            Err(e) => return e,
-        };
-        let answer = if ru == rv {
-            // Same pseudo-rep: u and v are the same down-shard vertex.
-            true
-        } else {
-            match (comp.class_of(ru), comp.class_of(rv)) {
-                (Some(a), Some(b)) => a == b,
-                // A component no cut edge touches is connected to
-                // nothing outside its shard (conservative `false` for
-                // an unseen down-shard vertex — hence the tag).
-                _ => false,
+        let s = self.plan.owner(u);
+        let mut first = None;
+        if self.plan.owner(v) == s {
+            // One call decides a pair in one live local component: that
+            // is global truth, with no composite and untagged.
+            let local = vec![self.plan.to_local(u), self.plan.to_local(v)];
+            let answer = match self.resolve(s, local) {
+                Ok(a) => a,
+                Err(e) => return e,
+            };
+            if let Some([(lu, _), (lv, _)]) = answer.as_ref().map(|a| a.entries.as_slice()) {
+                if lu == lv {
+                    return Response::Connected(true);
+                }
             }
+            first = Some((s, answer));
+        }
+        let Read { comp, reps } = match self.read(&[u, v], first) {
+            Ok(r) => r,
+            Err(e) => return e,
         };
-        self.degrade(Response::Connected(answer), du || dv || comp.degraded)
+        let (ru, rv) = match reps.as_slice() {
+            [(ru, _), (rv, _)] => (*ru, *rv),
+            _ => return Response::Err("a connectivity read resolved other than two ids".into()),
+        };
+        // Same pseudo-rep: u and v are the same down-shard vertex. A
+        // component no cut edge touches is connected to nothing outside
+        // its shard (conservative `false` for an unseen down-shard
+        // vertex — hence the tag).
+        let answer = ru == rv
+            || matches!(
+                (comp.class_of(ru), comp.class_of(rv)),
+                (Some(a), Some(b)) if a == b
+            );
+        self.degrade(Response::Connected(answer), comp.degraded)
+    }
+
+    /// The one read id's rep and local size, with the composite.
+    fn read_one(&self, u: Node) -> Result<(Arc<Composite>, Rep), Response> {
+        if let Some(e) = self.check_range(u) {
+            return Err(e);
+        }
+        let Read { comp, reps } = self.read(&[u], None)?;
+        match reps.as_slice() {
+            [rep] => Ok((comp, *rep)),
+            _ => Err(Response::Err(
+                "a vertex read resolved other than one id".into(),
+            )),
+        }
     }
 
     fn component(&self, u: Node) -> Response {
-        if let Some(e) = self.check_range(u) {
-            return e;
+        match self.read_one(u) {
+            Ok((comp, (rep, _))) => {
+                let label = match Self::class(&comp, rep) {
+                    Some(class) => class.label,
+                    // No class: the (possibly pseudo) rep's own global id.
+                    None => self.plan.to_global(rep.0, rep.1),
+                };
+                self.degrade(Response::Component(label), comp.degraded)
+            }
+            Err(e) => e,
         }
-        let (rep, du) = match self.local_component(u) {
-            Ok(r) => r,
-            Err(e) => return e,
-        };
-        let comp = match self.composite() {
-            Ok(c) => c,
-            Err(e) => return e,
-        };
-        let label = match comp.class_of(rep).and_then(|i| comp.class(i)) {
-            Some(class) => class.label,
-            // No class: the (possibly pseudo) rep's own global id.
-            None => self.plan.to_global(rep.0, rep.1),
-        };
-        self.degrade(Response::Component(label), du || comp.degraded)
     }
 
     fn component_size(&self, u: Node) -> Response {
-        if let Some(e) = self.check_range(u) {
-            return e;
-        }
-        let (rep, du) = match self.local_component(u) {
-            Ok(r) => r,
-            Err(e) => return e,
-        };
-        let comp = match self.composite() {
-            Ok(c) => c,
-            Err(e) => return e,
-        };
-        if let Some(class) = comp.class_of(rep).and_then(|i| comp.class(i)) {
-            return self.degrade(Response::ComponentSize(class.size), du || comp.degraded);
-        }
-        if du {
-            // Down shard, no cut edge through u: all we can certify is
-            // the vertex itself (the degraded lower bound).
-            return self.degrade(Response::ComponentSize(1), true);
-        }
-        match self.shard_call(rep.0, &Request::ComponentSize(rep.1)) {
-            Ok(Response::ComponentSize(sz)) => {
-                self.degrade(Response::ComponentSize(sz), comp.degraded)
+        match self.read_one(u) {
+            // No class: the shard's own answer, or 1 for a down shard's
+            // vertex (all a degraded read can certify).
+            Ok((comp, (rep, size))) => {
+                let size = Self::class(&comp, rep).map_or(size, |class| class.size);
+                self.degrade(Response::ComponentSize(size), comp.degraded)
             }
-            Ok(Response::Err(e)) => Response::Err(e),
-            Ok(other) => Response::Err(format!(
-                "shard {} answered {other:?} to a size query",
-                rep.0
-            )),
-            Err(_) => self.degrade(Response::ComponentSize(1), true),
+            Err(e) => e,
         }
     }
 
     fn num_components(&self) -> Response {
-        match self.composite() {
-            Ok(c) => self.degrade(Response::NumComponents(c.num_components), c.degraded),
+        match self.read(&[], None) {
+            Ok(Read { comp, .. }) => {
+                self.degrade(Response::NumComponents(comp.num_components), comp.degraded)
+            }
             Err(e) => e,
         }
     }
@@ -502,7 +747,6 @@ impl<B: ShardBackend> Router<B> {
             match self.shard_call(k, &Request::InsertEdges(batch.clone())) {
                 Ok(Response::Accepted { .. }) => {
                     if let Some(ms) = self.metrics.shards.get(k) {
-                        ms.requests.inc();
                         ms.edges_routed.add(len);
                     }
                 }
@@ -548,8 +792,8 @@ impl<B: ShardBackend> Router<B> {
     fn stats(&self) -> Response {
         let stats = self.sweep_stats();
         let missing = stats.iter().any(Option::is_none);
-        let comp = match self.composite() {
-            Ok(c) => c,
+        let comp = match self.read(&[], None) {
+            Ok(r) => r.comp,
             Err(e) => return e,
         };
         let mut agg = StatsReport {
@@ -576,8 +820,9 @@ impl<B: ShardBackend> Router<B> {
         self.degrade(Response::Stats(agg), missing || comp.degraded)
     }
 
-    /// Queries every shard's stats, refreshing the per-shard epoch and
-    /// queue-depth gauges along the way. A shard that does not answer
+    /// Queries every shard's stats for the router's `Stats` answer,
+    /// refreshing the per-shard epoch and queue-depth gauges along the
+    /// way (reads refresh only the epoch). A shard that does not answer
     /// (dead, circuit open, shedding, or answering nonsense) yields
     /// `None` — the sweep never hard-fails, it degrades.
     fn sweep_stats(&self) -> Vec<Option<StatsReport>> {
@@ -593,32 +838,6 @@ impl<B: ShardBackend> Router<B> {
                 _ => None,
             })
             .collect()
-    }
-
-    /// The composite view for the current (boundary version, epoch
-    /// vector), rebuilt on cache miss. Down shards key as `u64::MAX`,
-    /// so a degraded view stays cached while they are away.
-    fn composite(&self) -> Result<Arc<Composite>, Response> {
-        let (version, cut) = self.boundary.snapshot_edges();
-        let stats = self.sweep_stats();
-        let epochs: Vec<u64> = stats
-            .iter()
-            .map(|s| s.as_ref().map_or(u64::MAX, |s| s.epoch))
-            .collect();
-        if let Some(c) = self.cached() {
-            if c.boundary_version == version && c.epochs == epochs {
-                return Ok(c);
-            }
-        }
-        let built = {
-            let _compose = StageSpan::begin_with(Stage::BoundaryCompose, cut.len() as u64);
-            compose::build(&self.plan, &self.backend, version, &cut, &stats)
-                .map_err(Response::Err)?
-        };
-        self.metrics.composite_rebuilds.inc();
-        let built = Arc::new(built);
-        self.store_cache(Arc::clone(&built));
-        Ok(built)
     }
 
     fn cached(&self) -> Option<Arc<Composite>> {
@@ -673,11 +892,13 @@ mod tests {
     }
 
     /// A LocalCluster whose shards can be "killed" (typed Dead
-    /// outcome) and revived, for deterministic failure-domain tests.
+    /// outcome) and revived, for deterministic failure-domain tests. It
+    /// logs every call it receives.
     struct Flaky {
         inner: LocalCluster,
         dead: Vec<AtomicBool>,
         calls: Vec<AtomicU64>,
+        log: Mutex<Vec<(usize, Request)>>,
     }
 
     impl Flaky {
@@ -687,7 +908,13 @@ mod tests {
                 inner,
                 dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
                 calls: (0..n).map(|_| AtomicU64::new(0)).collect(),
+                log: Mutex::new(Vec::new()),
             }
+        }
+
+        /// The calls received since the last take, in order.
+        fn take_log(&self) -> Vec<(usize, Request)> {
+            std::mem::take(&mut *self.log.lock().unwrap())
         }
 
         fn kill(&self, k: usize) {
@@ -712,6 +939,7 @@ mod tests {
             if let Some(c) = self.calls.get(shard) {
                 c.fetch_add(1, Ordering::Relaxed);
             }
+            self.log.lock().unwrap().push((shard, req.clone()));
             if self
                 .dead
                 .get(shard)
@@ -739,6 +967,176 @@ mod tests {
         let config = ServeConfig::builder().build().unwrap();
         let cluster = LocalCluster::new(&plan, &[], &config).unwrap();
         Router::new(plan, BoundaryStore::new(n), Flaky::new(cluster), None).with_health_config(cfg)
+    }
+
+    /// A LocalCluster that, once armed with `k`, applies the edge (0, 1)
+    /// to shard 0 and waits for it to be published just before it
+    /// forwards its `k`-th next call: a shard publishing in the middle
+    /// of a read.
+    struct Racing {
+        inner: LocalCluster,
+        armed: Mutex<Option<usize>>,
+        fired: AtomicBool,
+    }
+
+    impl ShardBackend for Racing {
+        fn num_shards(&self) -> usize {
+            self.inner.num_shards()
+        }
+
+        fn call(&self, shard: usize, req: &Request) -> Result<Response, ShardUnavailable> {
+            let fire = {
+                let mut armed = self.armed.lock().unwrap();
+                match *armed {
+                    Some(0) => {
+                        *armed = None;
+                        true
+                    }
+                    Some(k) => {
+                        *armed = Some(k - 1);
+                        false
+                    }
+                    None => false,
+                }
+            };
+            if fire {
+                let _ = self.inner.call(0, &Request::InsertEdges(vec![(0, 1)]));
+                assert!(self.inner.flush(Duration::from_secs(10)));
+                self.fired.store(true, Ordering::Relaxed);
+            }
+            self.inner.call(shard, req)
+        }
+
+        fn flush(&self, timeout: Duration) -> bool {
+            self.inner.flush(timeout)
+        }
+
+        fn shutdown(&self) {
+            self.inner.shutdown();
+        }
+    }
+
+    /// Regression: a read took its local labels first and swept the
+    /// shards' epochs afterwards, so a publish in between looked a label
+    /// of epoch e up in a composite keyed on epoch e + 1 and answered
+    /// `Connected(false)` for vertices connected in both epochs. Now the
+    /// publish may land before any call of the read, with or without a
+    /// cached composite, and the answer stays right.
+    #[test]
+    fn a_read_racing_a_shard_publish_answers_from_one_snapshot() {
+        for warm in [false, true] {
+            for k in 0.. {
+                assert!(k < 64, "the read never ran out of calls");
+                let plan = ShardPlan::new(8, 2);
+                let config = ServeConfig::builder().build().unwrap();
+                let cluster = LocalCluster::new(&plan, &[], &config).unwrap();
+                let racing = Racing {
+                    inner: cluster,
+                    armed: Mutex::new(None),
+                    fired: AtomicBool::new(false),
+                };
+                let r = Router::new(plan, BoundaryStore::new(8), racing, None);
+                r.handle(&Request::InsertEdges(vec![(1, 4)]));
+                flushed(&r);
+                if warm {
+                    assert_eq!(
+                        r.handle(&Request::Connected(1, 4)),
+                        Response::Connected(true)
+                    );
+                }
+                *r.backend().armed.lock().unwrap() = Some(k);
+                assert_eq!(
+                    r.handle(&Request::Connected(1, 4)),
+                    Response::Connected(true),
+                    "publish before call {k} of the read (cache warm: {warm})"
+                );
+                let fired = r.backend().fired.load(Ordering::Relaxed);
+                r.shutdown_backend();
+                if !fired {
+                    break; // k is past the read's last call
+                }
+            }
+        }
+    }
+
+    /// Worker traffic of a read: a cache hit sends each shard one
+    /// `Resolve` carrying only the read's ids on it; the first read
+    /// after a shard-0 write sends one more, to shard 0, and shard 1
+    /// never sees its cut endpoints again; a pair in one local component
+    /// costs one call. No read sends `Stats`, `Component` or
+    /// `ComponentSize`.
+    #[test]
+    fn reads_cost_one_resolve_per_shard() {
+        let r = flaky_router(8, 2, HealthConfig::default());
+        r.handle(&Request::InsertEdges(vec![(0, 1), (1, 4), (4, 5)]));
+        flushed(&r);
+        assert_eq!(
+            r.handle(&Request::Connected(0, 5)),
+            Response::Connected(true)
+        );
+        r.backend().take_log();
+
+        assert_eq!(
+            r.handle(&Request::Connected(0, 5)),
+            Response::Connected(true)
+        );
+        assert_eq!(
+            r.backend().take_log(),
+            vec![
+                (0, Request::Resolve(vec![0])),
+                (1, Request::Resolve(vec![1]))
+            ]
+        );
+        assert_eq!(
+            r.handle(&Request::NumComponents),
+            Response::NumComponents(5)
+        );
+        assert_eq!(
+            r.backend().take_log(),
+            vec![(0, Request::Resolve(vec![])), (1, Request::Resolve(vec![]))]
+        );
+
+        // Shard 0 publishes: its first answer shows the new epoch, so it
+        // is asked again for the read's id plus its cut endpoint
+        // (local 1); shard 1's view is reused.
+        r.handle(&Request::InsertEdges(vec![(2, 3)]));
+        flushed(&r);
+        r.backend().take_log();
+        assert_eq!(
+            r.handle(&Request::Connected(2, 5)),
+            Response::Connected(false)
+        );
+        assert_eq!(
+            r.backend().take_log(),
+            vec![
+                (0, Request::Resolve(vec![2])),
+                (1, Request::Resolve(vec![1])),
+                (0, Request::Resolve(vec![2, 1])),
+            ]
+        );
+
+        // One shard, one local component: one call, no composite.
+        assert_eq!(
+            r.handle(&Request::Connected(0, 1)),
+            Response::Connected(true)
+        );
+        assert_eq!(
+            r.backend().take_log(),
+            vec![(0, Request::Resolve(vec![0, 1]))]
+        );
+        r.shutdown_backend();
+    }
+
+    /// A client's `Resolve` names shard-local ids, which mean nothing at
+    /// the router: refused, like tenant administration.
+    #[test]
+    fn resolve_is_refused_at_the_router() {
+        let r = router(8, 2);
+        match r.handle(&Request::Resolve(vec![0])) {
+            Response::Err(msg) => assert!(msg.contains("not available"), "{msg}"),
+            other => panic!("unexpected {other:?}"),
+        }
+        r.shutdown_backend();
     }
 
     #[test]
@@ -891,11 +1289,14 @@ mod tests {
             },
         );
         r.backend().kill(1);
-        // Each straddling read degrades instead of erroring, and the
-        // failures walk the machine Healthy → Suspect → Down.
-        match r.handle(&Request::Connected(0, 5)) {
-            Response::Degraded(inner) => assert_eq!(*inner, Response::Connected(false)),
-            other => panic!("unexpected {other:?}"),
+        // Each straddling read degrades instead of erroring and sends the
+        // dead shard one call, so two reads walk the machine Healthy →
+        // Suspect → Down.
+        for _ in 0..2 {
+            match r.handle(&Request::Connected(0, 5)) {
+                Response::Degraded(inner) => assert_eq!(*inner, Response::Connected(false)),
+                other => panic!("unexpected {other:?}"),
+            }
         }
         assert_eq!(r.health().state(1), HealthState::Down);
         // Circuit open: further reads stop dialing the dead shard.

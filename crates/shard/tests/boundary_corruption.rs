@@ -38,7 +38,7 @@ fn tempdir() -> std::path::PathBuf {
 /// The store invariant: every stored edge is in range and strictly
 /// grows the cut-edge forest (version counts stored edges).
 fn assert_valid_forest(store: &BoundaryStore, n: usize) {
-    let (version, edges) = store.snapshot_edges();
+    let (version, edges) = store.edges_since(0);
     assert_eq!(
         version,
         edges.len() as u64,
@@ -100,7 +100,7 @@ proptest! {
                     call.iter().map(|&(u, v)| (u % n as Node, v % n as Node)).collect();
                 let before = store.edge_count();
                 if store.observe_batch(&edges) > 0 {
-                    logged.push(store.snapshot_edges().1.split_off(before));
+                    logged.push(store.edges_since(before as u64).1);
                     ends.push(file_len());
                 }
             }
@@ -137,7 +137,7 @@ proptest! {
         };
         prop_assert!(!header_damaged, "damaged header accepted");
         assert_valid_forest(&store, n);
-        let first = store.snapshot_edges();
+        let first = store.edges_since(0);
 
         // Prefix recovery: the forest is a forest replay of the first k
         // logged batches, and the file is cut back to their records.
@@ -154,7 +154,7 @@ proptest! {
         // Idempotent: a second recovery sees exactly the same forest.
         let store = BoundaryStore::with_log(n, &path).unwrap();
         assert_valid_forest(&store, n);
-        prop_assert_eq!(store.snapshot_edges(), first);
+        prop_assert_eq!(store.edges_since(0), first);
 
         // And the recovered store still accepts new cut edges.
         store.observe_batch(&[(0, (n - 1) as Node)]);

@@ -5,7 +5,10 @@
 //! WAL namespace), put a router in front (`--shard-addrs`), ingest a
 //! deterministic edge mix — shard-local and cross-shard — over the wire,
 //! and require the router's answers to equal a single-engine
-//! `IncrementalCc` oracle. Then SIGKILL one worker mid-serve, restart it
+//! `IncrementalCc` oracle, and a read to cost at most 2K worker requests
+//! after a shard publishes and exactly K when it repeats (from the
+//! router's `afforest_shard_requests_total` deltas). Then SIGKILL one
+//! worker mid-serve, restart it
 //! from its WAL namespace on the same port, and require the router —
 //! whose per-shard clients reconnect and retry — to answer identically
 //! again. Then SIGKILL the router itself and restart it over its own
@@ -280,6 +283,86 @@ fn expect_oracle_answers(
     Ok(())
 }
 
+/// Worker requests the router has sent, summed over its shards, and its
+/// composite rebuilds, from one scrape.
+fn worker_requests(scrape_addr: &str) -> Result<(u64, u64), String> {
+    let scrape = scrape_has_series(scrape_addr)?;
+    let requests = (0..SHARDS)
+        .map(|k| {
+            scrape
+                .value(&format!("afforest_shard_requests_total{{shard=\"{k}\"}}"))
+                .unwrap_or(0)
+        })
+        .sum();
+    let rebuilds = scrape
+        .value("afforest_router_composite_rebuilds_total")
+        .unwrap_or(0);
+    Ok((requests, rebuilds))
+}
+
+/// What a read costs in worker requests, from the router's scrape
+/// deltas. Re-inserting a shard-0 edge publishes a new epoch there
+/// without changing connectivity; once worker 0 shows it applied, a
+/// straddling read must rebuild the composite in at most 2K worker
+/// requests (one `Resolve` per shard, one more for the shard that
+/// published) and the same read again must cost exactly K.
+fn read_costs(
+    scrape_addr: &str,
+    client: &mut Client,
+    worker0: &str,
+    edges: &[(u32, u32)],
+    plan: &ShardPlan,
+    (cu, cv): (u32, u32),
+) -> Result<(), String> {
+    let &edge = edges
+        .iter()
+        .find(|&&(u, v)| !plan.is_cut(u, v) && plan.owner(u) == 0)
+        .ok_or("the workload has no shard-0 edge")?;
+    let mut w0 = connect(worker0)?;
+    let applied = w0.stats().map_err(|e| format!("worker 0 stats: {e}"))?;
+    client
+        .insert_edges(&[edge])
+        .map_err(|e| format!("insert: {e}"))?;
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = w0.stats().map_err(|e| format!("worker 0 stats: {e}"))?;
+        if stats.edges_ingested > applied.edges_ingested && stats.queue_depth == 0 {
+            break;
+        }
+        if Instant::now() > deadline {
+            return Err("worker 0 never applied the re-inserted edge".into());
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let k = SHARDS as u64;
+    let mut costs = Vec::new();
+    let mut last = worker_requests(scrape_addr)?;
+    for _ in 0..2 {
+        if !client
+            .connected(cu, cv)
+            .map_err(|e| format!("connected: {e}"))?
+        {
+            return Err(format!("cross-shard edge ({cu}, {cv}) not connected"));
+        }
+        let now = worker_requests(scrape_addr)?;
+        costs.push((now.0 - last.0, now.1 - last.1));
+        last = now;
+    }
+    // (worker requests, composite rebuilds) of the first and second read.
+    if !(costs[0].0 <= 2 * k && costs[0].1 == 1 && costs[1] == (k, 0)) {
+        return Err(format!(
+            "read costs (worker requests, rebuilds) {costs:?}: want at most {} and 1 \
+             after the publish, then exactly ({k}, 0)",
+            2 * k
+        ));
+    }
+    println!(
+        "==> read cost: {} worker request(s) after a shard-0 publish, {} on a cache hit",
+        costs[0].0, costs[1].0
+    );
+    Ok(())
+}
+
 fn shard(root: &Path) -> Result<(), String> {
     let tmp = std::env::temp_dir();
     let pid = std::process::id();
@@ -383,6 +466,7 @@ fn shard(root: &Path) -> Result<(), String> {
         .ok_or("no cut edge despite the count above")?;
     expect_oracle_answers(&mut client, expected, probe, "ingest")?;
     scrape_has_series(&router.scrape_addr)?;
+    read_costs(&router.scrape_addr, &mut client, &a0, &edges, &plan, probe)?;
 
     // 6. SIGKILL worker 1 — no drain, no goodbye — and restart it from
     // its WAL namespace on the same port. The router's shard client
