@@ -11,8 +11,8 @@
 //! - **Node array** (`.arr`, e.g. `afforest-serve`'s parent snapshot):
 //!   `AFARR` magic and version, u64 length, the slots as little-endian
 //!   u32s, and a trailing u64 checksum. Version 2, the one written, folds
-//!   FNV-1a's xor-multiply once per slot; version 1, still read, folded it
-//!   once per byte ([`checksum64`]).
+//!   FNV-1a's xor-multiply once per slot ([`checksum64_words`]); version
+//!   1, still read, folded it once per byte ([`checksum64`]).
 
 use crate::error::{Error, Result};
 use crate::{CsrGraph, EdgeList, GraphBuilder, Node};
@@ -191,15 +191,33 @@ fn fnv_step(h: u64, word: u64) -> u64 {
 }
 
 /// FNV-1a 64-bit checksum, one step per byte: the integrity check of
-/// `afforest-serve`'s edge-log headers and records (its write-ahead log
-/// and the router's logs) and of version-1 node arrays. Version-2 node
-/// arrays take one step per u32 slot instead, a quarter of the serial
-/// multiplies over the same bytes. Not cryptographic — it detects torn
-/// writes and bit rot, which is all a local log needs.
+/// `afforest-serve`'s edge-log headers, and of version-1 edge-log records
+/// and node arrays, which are still read. Not cryptographic — it detects
+/// torn writes and bit rot, which is all a local log needs.
 pub fn checksum64(bytes: &[u8]) -> u64 {
     bytes
         .iter()
         .fold(FNV_OFFSET, |h, &b| fnv_step(h, u64::from(b)))
+}
+
+/// FNV-1a 64-bit checksum, one step per little-endian u32 word: the
+/// integrity check of version-2 node arrays and edge-log records, a
+/// quarter of [`checksum64`]'s serial multiplies over the same bytes. A
+/// tail of 1–3 bytes past the last whole word (an edge-log payload is
+/// 5 + 8k bytes, so it ends in one) takes one step per byte, so a payload
+/// and its zero-extension still differ.
+pub fn checksum64_words(bytes: &[u8]) -> u64 {
+    fold_words(FNV_OFFSET, bytes)
+}
+
+/// Continues a [`checksum64_words`] fold from state `h` over `bytes`.
+/// Every piece but the last of a streamed fold must be whole words.
+fn fold_words(h: u64, bytes: &[u8]) -> u64 {
+    let (words, tail) = bytes.as_chunks::<4>();
+    let h = words
+        .iter()
+        .fold(h, |h, &w| fnv_step(h, u64::from(u32::from_le_bytes(w))));
+    tail.iter().fold(h, |h, &b| fnv_step(h, u64::from(b)))
 }
 
 /// Writes a node array (e.g. a parent-pointer snapshot): a
@@ -210,10 +228,10 @@ pub fn write_node_array<P: AsRef<Path>>(path: P, nodes: &[Node]) -> io::Result<(
 
 /// Writes the node array that is the concatenation of `slices` (e.g. the
 /// pages of a paged array) in format version 2: magic header, length,
-/// the slots as little-endian u32s and a trailing checksum of one FNV-1a
-/// step per slot, so a torn or bit-rotted file is detected on read
-/// rather than silently restored. The slots are encoded and checksummed
-/// in one pass, a bounded buffer at a time; the whole array is never
+/// the slots as little-endian u32s and a trailing [`checksum64_words`]
+/// of them, one FNV-1a step per slot, so a torn or bit-rotted file is
+/// detected on read rather than silently restored. The slots are encoded
+/// and checksummed a bounded buffer at a time; the whole array is never
 /// copied.
 pub fn write_node_slices<P: AsRef<Path>>(path: P, slices: &[&[Node]]) -> io::Result<()> {
     let len: usize = slices.iter().map(|s| s.len()).sum();
@@ -227,8 +245,8 @@ pub fn write_node_slices<P: AsRef<Path>>(path: P, slices: &[&[Node]]) -> io::Res
         buf.resize(start + 4 * part.len(), 0);
         for (bytes, &v) in buf[start..].chunks_exact_mut(4).zip(part) {
             bytes.copy_from_slice(&v.to_le_bytes());
-            sum = fnv_step(sum, u64::from(v));
         }
+        sum = fold_words(sum, &buf[start..]);
         if buf.len() >= 4 * WRITE_SLOTS {
             file.write_all(&buf)?;
             buf.clear();
@@ -264,21 +282,20 @@ pub fn read_node_array<P: AsRef<Path>>(path: P) -> Result<Vec<Node>> {
     let mut payload = vec![0u8; 4 * len];
     r.read_exact(&mut payload)?;
     let declared = read_u64(&mut r)?;
-    let nodes: Vec<Node> = payload
-        .chunks_exact(4)
-        .map(|b| Node::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        .collect();
     let sum = if v1 {
         checksum64(&payload)
     } else {
-        nodes
-            .iter()
-            .fold(FNV_OFFSET, |h, &v| fnv_step(h, u64::from(v)))
+        checksum64_words(&payload)
     };
     if sum != declared {
         return Err(Error::malformed("AFARR", "checksum mismatch"));
     }
-    Ok(nodes)
+    Ok(payload
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|&b| Node::from_le_bytes(b))
+        .collect())
 }
 
 /// Loads a text edge list straight into a CSR graph.
@@ -436,6 +453,30 @@ mod tests {
         }
         std::fs::remove_file(&p).unwrap();
         std::fs::remove_file(&whole).unwrap();
+    }
+
+    #[test]
+    fn word_checksum_folds_whole_words_then_tail_bytes() {
+        let step = |h: u64, x: u64| (h ^ x).wrapping_mul(FNV_PRIME);
+        assert_eq!(checksum64_words(&[]), FNV_OFFSET);
+        let bytes = [0x01, 0x02, 0x03, 0x04, 0xaa, 0xbb, 0xcc, 0xdd, 0x05];
+        let expected = step(step(step(FNV_OFFSET, 0x0403_0201), 0xddcc_bbaa), 0x05);
+        assert_eq!(checksum64_words(&bytes), expected);
+        // Two and three tail bytes fold one at a time too.
+        assert_eq!(
+            checksum64_words(&bytes[..7]),
+            step(step(step(step(FNV_OFFSET, 0x0403_0201), 0xaa), 0xbb), 0xcc)
+        );
+        // A zero-extended payload is a different payload.
+        assert_ne!(
+            checksum64_words(&bytes),
+            checksum64_words(&[&bytes[..], &[0]].concat())
+        );
+        assert_ne!(checksum64_words(&bytes), checksum64(&bytes));
+        // A streamed fold over whole-word pieces equals the one-shot fold.
+        let long: Vec<u8> = (0..4099u32).map(|i| (i * 31 % 251) as u8).collect();
+        let streamed = long[..4096].chunks(12).fold(FNV_OFFSET, fold_words);
+        assert_eq!(fold_words(streamed, &long[4096..]), checksum64_words(&long));
     }
 
     #[test]

@@ -25,22 +25,31 @@
 //! snapshot and the full log; between the two renames, the new snapshot
 //! and the full log, whose records the snapshot already covers and which
 //! replay as no-ops (Theorem 1). A partial `snapshot.arr.tmp` or a
-//! header-only `wal.log.new` left behind is ignored by recovery and
-//! removed by [`Wal::open`] or overwritten by the next compaction, and
-//! `wal.log` exists at every instant.
+//! `wal.log.new` left behind (header-only, or part of a version-1 log's
+//! rewrite) is ignored by recovery and removed by [`Wal::open`] or
+//! overwritten by the next compaction, and `wal.log` exists at every
+//! instant.
 //!
 //! On-disk layout inside the WAL directory:
 //!
 //! ```text
 //! wal.log           8-byte magic/version, u64 vertex count, u64 header
-//!                   checksum (fnv1a over magic + count), then records:
+//!                   checksum (fnv1a over magic + count, one step per
+//!                   byte), then records:
 //!                   [u32 len][u64 fnv1a(payload)][payload]
 //!                   payload = 0x01 tag, u32 edge count, count * (u32, u32)
+//!                   The record checksum takes one FNV-1a step per LE u32
+//!                   word of the payload and one per byte of its 1-byte
+//!                   tail (`checksum64_words`) in version 2, the one
+//!                   written; version 1 took one step per byte and is
+//!                   still read, then rewritten as version 2 by the first
+//!                   open for appending, never appended to
 //! snapshot.arr      afforest_graph::io node array (the parent snapshot),
 //!                   written as version 2 (one FNV-1a step per slot);
 //!                   version 1 (one step per byte) still loads
 //! snapshot.arr.tmp  the next snapshot while a compaction writes it
-//! wal.log.new       the next, header-only log until it replaces wal.log
+//! wal.log.new       the next, header-only log until it replaces wal.log,
+//!                   or a version-1 wal.log's version-2 rewrite
 //! ```
 //!
 //! `wal.log`'s format is the service's one **edge-log** format. The
@@ -48,27 +57,55 @@
 //! opened and replayed through [`open_log`] and appended with
 //! [`encode_record`], so every durable edge log shares this header, this
 //! record codec and the replay scan behind [`recover`].
+//!
+//! A log a binary of this version has opened for appending carries the
+//! version-2 magic, which a version-1 reader refuses (bad magic) rather
+//! than truncating at its first word-summed record.
 
 use crate::faults::{FaultPlan, WalFault};
 use crate::snapshot::Snapshot;
 use afforest_core::{IncrementalCc, InvalidParents};
-use afforest_graph::io::{checksum64, read_node_array, write_node_slices};
+use afforest_graph::io::{checksum64, checksum64_words, read_node_array, write_node_slices};
 use afforest_graph::Node;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
-/// Magic bytes identifying a WAL file, followed by a version.
-const MAGIC: &[u8; 8] = b"AFWAL\x00\x00\x01";
+/// Magic bytes identifying an edge log, followed by a version: 2, whose
+/// records are checksummed per u32 word.
+const MAGIC: &[u8; 8] = b"AFWAL\x00\x00\x02";
+
+/// Version 1 of the edge-log format: the same layout, its records
+/// checksummed per byte with [`checksum64`]. Read, never appended to.
+const MAGIC_V1: &[u8; 8] = b"AFWAL\x00\x00\x01";
+
+/// An edge log's format version, named by its header.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Version {
+    /// Records checksummed per byte; read, then rewritten as `V2`.
+    V1,
+    /// Records checksummed per u32 word; the one written.
+    V2,
+}
+
+impl Version {
+    /// The record checksum of this version over `payload`.
+    fn record_sum(self, payload: &[u8]) -> u64 {
+        match self {
+            Version::V1 => checksum64(payload),
+            Version::V2 => checksum64_words(payload),
+        }
+    }
+}
 
 /// Header length: magic + u64 vertex count + u64 header checksum. The
 /// checksum authenticates the vertex count: without it a flipped bit in
 /// the count would send recovery allocating for a bogus universe.
 const HEADER_LEN: u64 = 24;
 
-/// Record tag for an edge batch (the only record type in version 1).
+/// Record tag for an edge batch (the only record type).
 const TAG_EDGE_BATCH: u8 = 0x01;
 
 /// Bytes in front of a record's payload: u32 length + u64 checksum.
@@ -192,7 +229,8 @@ impl Wal {
     /// Opens (creating if absent) the log for an `n`-vertex service in
     /// `dir`, positioned for appending. `snapshot_every` batches trigger
     /// a compaction (0 disables compaction). Removes what a compaction
-    /// cut short by a crash left behind.
+    /// cut short by a crash left behind, and rewrites a version-1 log as
+    /// version 2 through `wal.log.new`.
     pub fn open(dir: &Path, n: usize, snapshot_every: u64) -> Result<Wal, WalError> {
         std::fs::create_dir_all(dir)?;
         for leftover in [SNAPSHOT_TMP, LOG_NEXT] {
@@ -200,7 +238,11 @@ impl Wal {
             // compaction, which the writer counts as a WAL error.
             let _ = std::fs::remove_file(dir.join(leftover));
         }
-        let mut file = open_checked(&dir.join(LOG_FILE), n)?;
+        let path = dir.join(LOG_FILE);
+        let (mut file, version) = open_checked(&path, n)?;
+        if version == Version::V1 {
+            (file, _) = upgrade(&path, &dir.join(LOG_NEXT), file, n, |_| {})?;
+        }
         file.seek(SeekFrom::End(0))?;
         Ok(Wal {
             file,
@@ -351,7 +393,7 @@ pub fn recover(dir: &Path, seed_edges: &[(Node, Node)]) -> Result<Recovery, WalE
     let _span = afforest_obs::span!("wal-recover");
     let path = dir.join(LOG_FILE);
     let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-    let n = read_header(&mut file)?;
+    let (n, version) = read_header(&mut file)?;
 
     let snapshot_path = dir.join(SNAPSHOT_FILE);
     let (mut cc, from_snapshot) = if snapshot_path.exists() {
@@ -380,7 +422,7 @@ pub fn recover(dir: &Path, seed_edges: &[(Node, Node)]) -> Result<Recovery, WalE
         (cc, false)
     };
 
-    let replayed = replay(&mut file, n, |batch| {
+    let replayed = replay(&mut file, n, version, |batch| {
         cc.insert_batch(&batch);
     })?;
     Ok(Recovery {
@@ -411,19 +453,29 @@ pub struct Replay {
 ///
 /// An empty file gets a fresh header. A header that is short, corrupt
 /// or names another vertex count is refused with a [`LogError`] that
-/// names the file, and the file's bytes are left as they were.
+/// names the file, and the file's bytes are left as they were. A
+/// version-1 log is rewritten as version 2 through [`tmp_path`], and a
+/// rewrite there that a kill cut short is removed first.
 pub fn open_log(
     path: &Path,
     n: usize,
-    apply: impl FnMut(Vec<(Node, Node)>),
+    mut apply: impl FnMut(Vec<(Node, Node)>),
 ) -> Result<(File, Replay), LogError> {
     let open = || {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let mut file = open_checked(path, n)?;
-        let replayed = replay(&mut file, n, apply)?;
-        Ok((file, replayed))
+        // A tmp file can only be a rewrite that died before its rename
+        // landed; the log it was replacing is still whole.
+        let tmp = tmp_path(path);
+        let _ = std::fs::remove_file(&tmp);
+        match open_checked(path, n)? {
+            (file, Version::V1) => upgrade(path, &tmp, file, n, apply),
+            (mut file, Version::V2) => {
+                let replayed = replay(&mut file, n, Version::V2, &mut apply)?;
+                Ok((file, replayed))
+            }
+        }
     };
     open().map_err(|error| LogError {
         path: path.to_path_buf(),
@@ -433,7 +485,7 @@ pub fn open_log(
 
 /// The vertex count named by the header of the edge log at `path`.
 pub fn log_vertices(path: &Path) -> Result<usize, LogError> {
-    let read = || read_header(&mut File::open(path)?);
+    let read = || Ok(read_header(&mut File::open(path)?)?.0);
     read().map_err(|error| LogError {
         path: path.to_path_buf(),
         error,
@@ -450,26 +502,44 @@ pub fn encode_header(n: usize) -> Vec<u8> {
     header
 }
 
-/// One edge-batch record: `[u32 len][u64 fnv1a(payload)][payload]`.
+/// One version-2 edge-batch record, `[u32 len][u64 sum][payload]`,
+/// built in one buffer: the payload is encoded in place and its
+/// [`checksum64_words`] written in front of it.
 pub fn encode_record(edges: &[(Node, Node)]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(5 + edges.len() * 8);
-    payload.push(TAG_EDGE_BATCH);
-    payload.extend_from_slice(&(edges.len() as u32).to_le_bytes());
-    for &(u, v) in edges {
-        payload.extend_from_slice(&u.to_le_bytes());
-        payload.extend_from_slice(&v.to_le_bytes());
+    let len = 5 + 8 * edges.len();
+    let mut record = Vec::with_capacity(RECORD_PREFIX + len);
+    record.extend_from_slice(&(len as u32).to_le_bytes());
+    record.extend_from_slice(&[0; 8]);
+    record.push(TAG_EDGE_BATCH);
+    record.extend_from_slice(&(edges.len() as u32).to_le_bytes());
+    record.resize(RECORD_PREFIX + len, 0);
+    // PANIC-OK: `record` is the 12-byte prefix, 5 bytes of tag and count,
+    // then 8 zeroed bytes per edge; every range below lies within it.
+    let pairs = record[RECORD_PREFIX + 5..].as_chunks_mut::<8>().0;
+    for (pair, &(u, v)) in pairs.iter_mut().zip(edges) {
+        // An edge's two LE u32s are one LE u64 with `u` in its low half.
+        *pair = (u64::from(v) << 32 | u64::from(u)).to_le_bytes();
     }
-    let mut record = Vec::with_capacity(RECORD_PREFIX + payload.len());
-    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    record.extend_from_slice(&checksum64(&payload).to_le_bytes());
-    record.extend_from_slice(&payload);
+    // PANIC-OK: within `record`, see above.
+    let sum = checksum64_words(&record[RECORD_PREFIX..]);
+    // PANIC-OK: within `record`, see above.
+    record[4..RECORD_PREFIX].copy_from_slice(&sum.to_le_bytes());
     record
 }
 
-/// Opens (creating if absent) the log at `path`: an empty file gets a
-/// fresh `n`-vertex header; an existing header must be intact and name
-/// `n`, else a typed error and no byte is written.
-fn open_checked(path: &Path, n: usize) -> Result<File, WalError> {
+/// Where a rewrite of the edge log at `path` is written before it is
+/// renamed over it: `path` with `.tmp` appended.
+pub fn tmp_path(path: &Path) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(".tmp");
+    PathBuf::from(os)
+}
+
+/// Opens (creating if absent) the log at `path` and returns it with its
+/// version: an empty file gets a fresh `n`-vertex header; an existing
+/// header must be intact and name `n`, else a typed error and no byte is
+/// written.
+fn open_checked(path: &Path, n: usize) -> Result<(File, Version), WalError> {
     let mut file = OpenOptions::new()
         .read(true)
         .write(true)
@@ -479,27 +549,60 @@ fn open_checked(path: &Path, n: usize) -> Result<File, WalError> {
     if file.metadata()?.len() == 0 {
         file.write_all(&encode_header(n))?;
         file.flush()?;
-    } else {
-        let logged = read_header(&mut file)?;
-        if logged != n {
-            return Err(WalError::VertexMismatch {
-                wal: logged,
-                expected: n,
-            });
-        }
+        return Ok((file, Version::V2));
     }
-    Ok(file)
+    let (logged, version) = read_header(&mut file)?;
+    if logged != n {
+        return Err(WalError::VertexMismatch {
+            wal: logged,
+            expected: n,
+        });
+    }
+    Ok((file, version))
+}
+
+/// Rewrites the version-1 log `file` at `path` as version 2: replays it,
+/// handing each intact record to `apply` and writing it re-summed to
+/// `tmp`, then renames `tmp` over `path`. A kill before the rename leaves
+/// the version-1 log whole and a partial `tmp` that no reader opens, so
+/// no file ever holds records of both versions. Returns the new log's
+/// handle, positioned for appends, and what the replay found.
+fn upgrade(
+    path: &Path,
+    tmp: &Path,
+    mut file: File,
+    n: usize,
+    mut apply: impl FnMut(Vec<(Node, Node)>),
+) -> Result<(File, Replay), WalError> {
+    let mut out = BufWriter::new(File::create(tmp)?);
+    out.write_all(&encode_header(n))?;
+    let mut written = Ok(());
+    let replayed = replay(&mut file, n, Version::V1, |batch| {
+        if written.is_ok() {
+            written = out.write_all(&encode_record(&batch));
+        }
+        apply(batch);
+    })?;
+    written?;
+    out.into_inner().map_err(io::IntoInnerError::into_error)?;
+    drop(file);
+    std::fs::rename(tmp, path)?;
+    let mut file = OpenOptions::new().read(true).write(true).open(path)?;
+    file.seek(SeekFrom::End(0))?;
+    Ok((file, replayed))
 }
 
 /// The replay scan, total over the file's bytes: hands each intact
 /// record after the header to `apply` in order, one record in memory at
 /// a time, until EOF or the first bad record (short read, length out of
-/// `5..=MAX_RECORD_LEN`, checksum mismatch, malformed payload, endpoint
-/// outside `0..n`). A bad tail is truncated so the next append starts at
-/// a record boundary; the handle is left positioned at the end.
+/// `5..=MAX_RECORD_LEN`, checksum mismatch under `version`'s record sum,
+/// malformed payload, endpoint outside `0..n`). A bad tail is truncated
+/// so the next append starts at a record boundary; the handle is left
+/// positioned at the end.
 fn replay(
     file: &mut File,
     n: usize,
+    version: Version,
     mut apply: impl FnMut(Vec<(Node, Node)>),
 ) -> Result<Replay, WalError> {
     let file_len = file.metadata()?.len();
@@ -521,7 +624,7 @@ fn replay(
             break;
         }
         let mut payload = vec![0u8; len];
-        if !read_full(&mut reader, &mut payload)? || checksum64(&payload) != declared_sum {
+        if !read_full(&mut reader, &mut payload)? || version.record_sum(&payload) != declared_sum {
             break;
         }
         let Some(batch) = decode_batch(&payload, n) else {
@@ -595,17 +698,19 @@ pub fn tenant_dirs(root: &Path) -> Vec<(String, PathBuf)> {
 }
 
 /// Validates the magic and the header checksum, returning the header's
-/// vertex count and leaving the cursor after the header.
-fn read_header(file: &mut File) -> Result<usize, WalError> {
+/// vertex count and version and leaving the cursor after the header.
+fn read_header(file: &mut File) -> Result<(usize, Version), WalError> {
     file.seek(SeekFrom::Start(0))?;
     let mut header = [0u8; HEADER_LEN as usize];
     file.read_exact(&mut header)
         .map_err(|_| WalError::Corrupt("log shorter than its header".into()))?;
     // PANIC-OK: `header` is a HEADER_LEN (24) byte array; every subrange
     // below is statically in bounds and every conversion statically sized.
-    if &header[0..8] != MAGIC {
-        return Err(WalError::Corrupt("not an AFWAL file (bad magic)".into()));
-    }
+    let version = match &header[0..8] {
+        m if m == MAGIC => Version::V2,
+        m if m == MAGIC_V1 => Version::V1,
+        _ => return Err(WalError::Corrupt("not an AFWAL file (bad magic)".into())),
+    };
     // PANIC-OK: 24-byte array, see above.
     let declared = u64::from_le_bytes(header[16..24].try_into().expect("8-byte slice"));
     // PANIC-OK: 24-byte array, see above.
@@ -621,7 +726,7 @@ fn read_header(file: &mut File) -> Result<usize, WalError> {
             "vertex count {n} exceeds Node range"
         )));
     }
-    Ok(n as usize)
+    Ok((n as usize, version))
 }
 
 /// Fills `buf`, or returns `false` if the file ends first. Other IO
@@ -1034,6 +1139,114 @@ mod tests {
         let rec = assert_recovers(&dir, 24, &batches);
         assert!(rec.from_snapshot);
         assert_eq!(rec.batches, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A version-1 log of `batches` over `n` vertices, byte for byte as a
+    /// binary from before the word-wise record sum wrote it.
+    fn v1_log(n: usize, batches: &[Vec<(Node, Node)>]) -> Vec<u8> {
+        let mut log = MAGIC_V1.to_vec();
+        log.extend_from_slice(&(n as u64).to_le_bytes());
+        log.extend_from_slice(&checksum64(&log).to_le_bytes());
+        for batch in batches {
+            let mut payload = vec![TAG_EDGE_BATCH];
+            payload.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+            for &(u, v) in batch {
+                payload.extend_from_slice(&u.to_le_bytes());
+                payload.extend_from_slice(&v.to_le_bytes());
+            }
+            log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            log.extend_from_slice(&checksum64(&payload).to_le_bytes());
+            log.extend_from_slice(&payload);
+        }
+        log
+    }
+
+    /// The version-2 log of `batches` over `n` vertices.
+    fn v2_log(n: usize, batches: &[Vec<(Node, Node)>]) -> Vec<u8> {
+        let records = batches.iter().flat_map(|b| encode_record(b));
+        encode_header(n).into_iter().chain(records).collect()
+    }
+
+    #[test]
+    fn version_one_log_replays_and_is_rewritten_as_version_two_before_any_append() {
+        let dir = tempdir("v1-log");
+        let batches = sample_batches(30, 6);
+        std::fs::create_dir_all(&dir).unwrap();
+        // An intact v1 log plus the torn start of a seventh record.
+        let mut v1 = v1_log(30, &batches);
+        v1.extend_from_slice(&v1_log(30, &sample_batches(30, 7))[v1.len()..][..9]);
+        std::fs::write(dir.join(LOG_FILE), &v1).unwrap();
+
+        // Recovery reads version 1 as it is: every intact record, the
+        // torn tail cut, the header left at version 1.
+        let rec = assert_recovers(&dir, 30, &batches);
+        assert_eq!((rec.batches, rec.truncated), (6, true));
+        let log = std::fs::read(dir.join(LOG_FILE)).unwrap();
+        assert_eq!(log, v1_log(30, &batches));
+
+        // Opening it for appends first rewrites it whole as version 2, so
+        // no word-summed record is ever appended under a v1 header.
+        let mut wal = Wal::open(&dir, 30, 0).unwrap();
+        assert_eq!(
+            std::fs::read(dir.join(LOG_FILE)).unwrap(),
+            v2_log(30, &batches)
+        );
+        assert_eq!(files_in(&dir), [LOG_FILE]);
+        let extra = vec![(0, 29)];
+        wal.append(&extra).unwrap();
+        drop(wal);
+        let mut all = batches.clone();
+        all.push(extra);
+        assert_eq!(std::fs::read(dir.join(LOG_FILE)).unwrap(), v2_log(30, &all));
+        let rec = assert_recovers(&dir, 30, &all);
+        assert_eq!((rec.batches, rec.truncated), (7, false));
+
+        // Compacting and reopening keep it at version 2.
+        let mut wal = Wal::open(&dir, 30, 0).unwrap();
+        wal.compact(&Snapshot::new(0, &rec.cc)).unwrap();
+        drop(wal);
+        assert_eq!(
+            std::fs::read(dir.join(LOG_FILE)).unwrap(),
+            encode_header(30)
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_upgrade_cut_short_leaves_the_version_one_log_whole() {
+        let dir = tempdir("v1-cut");
+        let batches = sample_batches(20, 4);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(LOG_FILE), v1_log(20, &batches)).unwrap();
+        // A kill mid-rewrite: half the v2 log in `wal.log.new`.
+        let v2 = v2_log(20, &batches);
+        std::fs::write(dir.join(LOG_NEXT), &v2[..v2.len() / 2]).unwrap();
+        let rec = assert_recovers(&dir, 20, &batches);
+        assert_eq!((rec.batches, rec.truncated), (4, false));
+        drop(Wal::open(&dir, 20, 0).unwrap());
+        assert_eq!(files_in(&dir), [LOG_FILE]);
+        assert_eq!(std::fs::read(dir.join(LOG_FILE)).unwrap(), v2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_header_version_picks_the_record_sum() {
+        let dir = tempdir("v-mismatch");
+        let batches = sample_batches(16, 3);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Word-summed records under a (valid) v1 header do not verify,
+        // and neither do byte-summed ones under a v2 header: the replay
+        // stops at the first record either way.
+        let v2 = v2_log(16, &batches);
+        let v1 = v1_log(16, &batches);
+        let header = HEADER_LEN as usize;
+        for (head, records) in [(&v1, &v2), (&v2, &v1)] {
+            let mixed = [&head[..header], &records[header..]].concat();
+            std::fs::write(dir.join(LOG_FILE), &mixed).unwrap();
+            let rec = recover(&dir, &[]).unwrap();
+            assert_eq!((rec.batches, rec.truncated), (0, true));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

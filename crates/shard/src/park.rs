@@ -97,9 +97,6 @@ impl ParkSet {
         let mut recoveries = Vec::with_capacity(shard_lens.len());
         for (k, &vertices) in shard_lens.iter().enumerate() {
             let path = park_path(root, k);
-            // A tmp file can only be a rewrite that died before its
-            // rename landed; the log it was replacing is still whole.
-            let _ = std::fs::remove_file(tmp_path(&path));
             let mut queue = Vec::new();
             let (file, recovery) = wal::open_log(&path, vertices, |batch| queue.push(batch))?;
             recoveries.push(recovery);
@@ -215,18 +212,11 @@ impl ParkSet {
     }
 }
 
-/// Sibling tmp path for an atomic rewrite of `path`.
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".tmp");
-    PathBuf::from(os)
-}
-
 /// Atomically replaces `path`'s contents with `bytes`: write a sibling
 /// tmp file, flush, rename over, reopen positioned at the end for
 /// appends.
 fn write_replace(path: &Path, bytes: &[u8]) -> std::io::Result<File> {
-    let tmp = tmp_path(path);
+    let tmp = wal::tmp_path(path);
     let mut f = File::create(&tmp)?;
     f.write_all(bytes)?;
     f.flush()?;
@@ -240,7 +230,7 @@ fn write_replace(path: &Path, bytes: &[u8]) -> std::io::Result<File> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afforest_serve::wal::WalError;
+    use afforest_serve::wal::{tmp_path, WalError};
 
     fn tempdir(name: &str) -> PathBuf {
         let dir =

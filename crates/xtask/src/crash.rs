@@ -1,14 +1,19 @@
 //! Crash-recovery smoke test for `cargo xtask ci`.
 //!
-//! The WAL's whole contract in one scenario: start `afforest serve` with
-//! `--wal-dir`, ingest a known edge set over the wire, wait until the
-//! server has applied it (append precedes apply, so applied ⇒ logged),
-//! then SIGKILL the process — no drain, no shutdown frame. `afforest
-//! recover` must then report exactly the component count an uninterrupted
-//! run would have: `afforest cc` over the seed graph plus the ingested
-//! edges is the oracle. Each insert is its own batch, so the WAL has
-//! compacted before the kill: recovery must start from the parent
-//! snapshot and replay the batches logged after it.
+//! The WAL's whole contract in one scenario: seed the WAL directory with
+//! a log of known batches in version 1 of the edge-log format (records
+//! checksummed per byte, as binaries before the word-wise record sum
+//! wrote them), start `afforest serve` with `--wal-dir` over it, ingest a
+//! known edge set over the wire, wait until the server has applied it
+//! (append precedes apply, so applied ⇒ logged), then SIGKILL the
+//! process — no drain, no shutdown frame. The server must replay every
+//! version-1 batch at start and rewrite the log as version 2 before
+//! appending. `afforest recover` must then report exactly the component
+//! count an uninterrupted run would have: `afforest cc` over the seed
+//! graph, the version-1 batches and the ingested edges is the oracle.
+//! Each insert is its own batch, so the WAL has compacted before the
+//! kill: recovery must start from the parent snapshot and replay the
+//! batches logged after it.
 //!
 //! CI runs it twice: once clean and once with chaos faults injected
 //! (stretched applies and torn response frames). The injected fault
@@ -17,6 +22,7 @@
 //! exact-count assertion holds under chaos.
 
 use crate::smoke::{cli_cmd, connect, Reaper};
+use afforest_graph::io::checksum64;
 use afforest_serve::{Client, RetryPolicy};
 use std::io::{BufRead, BufReader};
 use std::path::Path;
@@ -51,6 +57,44 @@ fn inserted_edges() -> Vec<(u32, u32)> {
     (0..INSERTS as u32)
         .map(|i| ((i * 37) % GRAPH_N, (i * 61 + 1) % GRAPH_N))
         .collect()
+}
+
+/// The batches of the version-1 log the WAL directory starts with
+/// (shared with the oracle).
+fn logged_batches() -> Vec<Vec<(u32, u32)>> {
+    (0..6u32)
+        .map(|b| {
+            (0..5u32)
+                .map(|i| {
+                    let i = b * 5 + i;
+                    ((i * 53 + 7) % GRAPH_N, (i * 97 + 11) % GRAPH_N)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Magic of version 1 of the edge-log format.
+const MAGIC_V1: &[u8; 8] = b"AFWAL\x00\x00\x01";
+
+/// `batches` as a version-1 edge log over [`GRAPH_N`] vertices, byte for
+/// byte as a binary from before the word-wise record sum wrote it.
+fn v1_log(batches: &[Vec<(u32, u32)>]) -> Vec<u8> {
+    let mut log = MAGIC_V1.to_vec();
+    log.extend_from_slice(&u64::from(GRAPH_N).to_le_bytes());
+    log.extend_from_slice(&checksum64(&log).to_le_bytes());
+    for batch in batches {
+        let mut payload = vec![0x01];
+        payload.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+        for &(u, v) in batch {
+            payload.extend_from_slice(&u.to_le_bytes());
+            payload.extend_from_slice(&v.to_le_bytes());
+        }
+        log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        log.extend_from_slice(&checksum64(&payload).to_le_bytes());
+        log.extend_from_slice(&payload);
+    }
+    log
 }
 
 /// A typed client tuned for the chaos run: under `--faults` the server
@@ -132,8 +176,15 @@ fn crash(root: &Path, faults: bool) -> Result<(), String> {
         return Err(format!("generate failed ({status})"));
     }
 
-    // 2. Serve with a WAL on an ephemeral port. The 20 one-batch inserts
-    // below compact at batches 8 and 16 and leave 4 batches in the log.
+    // 2. Seed the WAL directory with a version-1 log (the legacy
+    // root-level layout of the default tenant), then serve with that WAL
+    // on an ephemeral port. The 20 one-batch inserts below compact at
+    // batches 8 and 16 and leave 4 batches in the log.
+    let logged = logged_batches();
+    let v1 = v1_log(&logged);
+    let log_path = wal_dir.join("wal.log");
+    std::fs::create_dir_all(&wal_dir).map_err(|e| format!("create wal dir: {e}"))?;
+    std::fs::write(&log_path, &v1).map_err(|e| format!("write v1 log: {e}"))?;
     let mut args = vec![
         "serve",
         &graph_s,
@@ -165,11 +216,15 @@ fn crash(root: &Path, faults: bool) -> Result<(), String> {
     );
     let stdout = server.0.stdout.take().ok_or("serve stdout not captured")?;
     let mut lines = BufReader::new(stdout).lines();
+    let mut replayed_at_start = None;
     let addr = loop {
         let line = lines
             .next()
             .ok_or("serve exited before announcing its address")?
             .map_err(|e| format!("read serve stdout: {e}"))?;
+        if let Some(rest) = line.strip_prefix("recovered ") {
+            replayed_at_start = rest.split_whitespace().next().map(str::to_string);
+        }
         if let Some(rest) = line.strip_prefix("listening on ") {
             break rest
                 .split_whitespace()
@@ -178,6 +233,24 @@ fn crash(root: &Path, faults: bool) -> Result<(), String> {
                 .to_string();
         }
     };
+
+    // The server replayed every version-1 batch, and rewrote the log as
+    // version 2 before appending: same length (records keep their size),
+    // new magic.
+    if replayed_at_start != Some(logged.len().to_string()) {
+        return Err(format!(
+            "serve replayed {replayed_at_start:?} batch(es) of the version-1 log, not {}",
+            logged.len()
+        ));
+    }
+    let upgraded = std::fs::read(&log_path).map_err(|e| format!("read wal.log: {e}"))?;
+    if upgraded.len() != v1.len() || !upgraded.starts_with(b"AFWAL\x00\x00\x02") {
+        return Err(format!(
+            "wal.log was not rewritten as version 2: {} bytes starting {:?}",
+            upgraded.len(),
+            &upgraded[..upgraded.len().min(8)]
+        ));
+    }
 
     // 3. Ingest the known workload, one batch per insert: the writer
     // would coalesce inserts sent back to back into a few batches.
@@ -251,9 +324,10 @@ fn crash(root: &Path, faults: bool) -> Result<(), String> {
         ));
     }
 
-    // 7. Oracle: an uninterrupted run over seed graph + ingested edges.
+    // 7. Oracle: an uninterrupted run over seed graph + version-1
+    // batches + ingested edges.
     let mut all = std::fs::read_to_string(&graph).map_err(|e| format!("read graph: {e}"))?;
-    for &(u, v) in &edges {
+    for &(u, v) in logged.iter().flatten().chain(&edges) {
         all.push_str(&format!("{u} {v}\n"));
     }
     let combined_s = combined.to_string_lossy().into_owned();
@@ -284,8 +358,9 @@ fn crash(root: &Path, faults: bool) -> Result<(), String> {
     let _ = std::fs::remove_file(&combined);
     let _ = std::fs::remove_dir_all(&wal_dir);
     println!(
-        "==> crash recovery smoke{}: killed mid-serve, recovered {recovered} component(s) == uninterrupted run (snapshot + {replayed} replayed batch(es))",
-        tag(faults)
+        "==> crash recovery smoke{}: upgraded a version-1 log of {} batch(es), killed mid-serve, recovered {recovered} component(s) == uninterrupted run (snapshot + {replayed} replayed batch(es))",
+        tag(faults),
+        logged.len()
     );
     Ok(())
 }

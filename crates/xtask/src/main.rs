@@ -236,8 +236,9 @@ fn run_ci() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    // WAL crash-recovery smoke: kill -9 mid-serve, recover, compare with
-    // an uninterrupted run — once clean, once under injected chaos.
+    // WAL crash-recovery smoke: serve over a version-1 log, kill -9
+    // mid-serve, recover, compare with an uninterrupted run — once clean,
+    // once under injected chaos.
     for faults in [false, true] {
         println!(
             "==> crash recovery smoke{}",
