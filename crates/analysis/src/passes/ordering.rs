@@ -28,10 +28,6 @@ pub const ORDERING_ALLOWLIST: &[&str] = &[
     "crates/core/src/parents.rs",
     // Per-thread counter buffers aggregated after the parallel phase.
     "crates/core/src/instrument.rs",
-    // CSR scatter cursors (fetch_add slot claiming).
-    "crates/graph/src/builder.rs",
-    // DisjointWriter's tests replay the builder's claim protocol.
-    "crates/graph/src/disjoint.rs",
     // Baseline algorithms (SV, parallel UF, BFS, label propagation) use
     // atomics as published; they are comparison subjects, not the
     // contribution under audit.

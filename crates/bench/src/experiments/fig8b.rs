@@ -4,7 +4,8 @@ use super::Report;
 use crate::algorithms::Algorithm;
 use crate::datasets::{self, Scale};
 use crate::table::{self, Table};
-use crate::timing::measure;
+use crate::timing::{aggregate, measure};
+use std::time::Duration;
 
 /// Algorithms plotted by the paper's Fig. 8b.
 pub const ALGS: [Algorithm; 4] = [
@@ -30,6 +31,11 @@ pub fn thread_counts() -> Vec<usize> {
 }
 
 /// Runs the scaling experiment.
+///
+/// Trials are the outermost loop: each trial times every algorithm at
+/// every thread count, so the samples behind one speedup are taken
+/// moments apart rather than a whole thread count's trials apart, and
+/// a slow spell on a shared host lands on both sides of the ratio.
 pub fn run(scale: Scale, trials: usize, dataset: Option<&str>) -> Report {
     let name = dataset.unwrap_or("web");
     let g = datasets::by_name(name)
@@ -43,22 +49,41 @@ pub fn run(scale: Scale, trials: usize, dataset: Option<&str>) -> Report {
         header.push(format!("{}-speedup", a.name()));
     }
     let mut t = Table::new(header);
-    let mut base_ms: Vec<f64> = Vec::new();
 
-    for (row_idx, &threads) in counts.iter().enumerate() {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool");
-        let mut row = vec![threads.to_string()];
-        for (ai, alg) in ALGS.into_iter().enumerate() {
-            let timing = pool.install(|| measure(trials, || alg.run(&g)));
-            let ms = timing.median_ms();
-            if row_idx == 0 {
-                base_ms.push(ms);
+    let pools: Vec<rayon::ThreadPool> = counts
+        .iter()
+        .map(|&threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("thread pool")
+        })
+        .collect();
+    // samples[thread count][algorithm]
+    let mut samples: Vec<Vec<Vec<Duration>>> =
+        vec![vec![Vec::with_capacity(trials); ALGS.len()]; counts.len()];
+    for _ in 0..trials {
+        for (pool, per_alg) in pools.iter().zip(&mut samples) {
+            for (alg, s) in ALGS.into_iter().zip(per_alg.iter_mut()) {
+                s.push(pool.install(|| measure(1, || alg.run(&g)).median));
             }
+        }
+    }
+
+    let medians: Vec<Vec<f64>> = samples
+        .into_iter()
+        .map(|per_alg| {
+            per_alg
+                .into_iter()
+                .map(|s| aggregate(s).median_ms())
+                .collect()
+        })
+        .collect();
+    for (&threads, ms) in counts.iter().zip(&medians) {
+        let mut row = vec![threads.to_string()];
+        for (&ms, &base) in ms.iter().zip(&medians[0]) {
             row.push(table::f2(ms));
-            row.push(format!("{}x", table::f2(base_ms[ai] / ms.max(1e-9))));
+            row.push(format!("{}x", table::f2(base / ms.max(1e-9))));
         }
         t.row(row);
     }

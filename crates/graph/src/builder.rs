@@ -1,16 +1,63 @@
 //! Parallel CSR construction.
 //!
-//! The builder mirrors GAPBS's `BuilderBase`: accumulate edges, symmetrize
-//! (insert the reverse of every arc), count degrees, prefix-sum into
-//! offsets, scatter targets, then sort each adjacency list and optionally
-//! deduplicate. Everything after accumulation is parallel.
+//! The build symmetrizes the edges (each edge `{u, v}` becomes the arcs
+//! `u → v` and `v → u`), groups the arcs by source, then sorts and
+//! optionally deduplicates every adjacency list. It is a two-pass
+//! partition by *source bucket*, a run of `2^k` consecutive vertex ids,
+//! and it uses no atomics.
+//!
+//! GAPBS's `BuilderBase` counts degrees and claims scatter slots with one
+//! `fetch_add` per arc endpoint. On x86 each is a `lock xadd` on a random
+//! cache line and a full barrier, so the cache misses of a scatter cannot
+//! overlap: the memory access pattern Section V-C argues about. Here
+//! every write goes to a range only its writer holds, cut from one buffer
+//! with `split_at_mut`, and the scatter by source runs within one bucket,
+//! whose counters and targets fit in cache:
+//!
+//! 1. **Partition.** The edges are cut into a few contiguous chunks per
+//!    thread. Each chunk counts its arcs per bucket; the counts lay out one
+//!    arc buffer bucket-major, chunk-minor; each chunk then writes its
+//!    arcs sequentially into its own range of every bucket.
+//! 2. **Bucket pass.** Each bucket owns its slices of the targets and of
+//!    the per-vertex degrees. It counting-sorts its arcs by source, with
+//!    one counter per vertex of the bucket, then sorts each list in place,
+//!    drops duplicates if asked, and packs the bucket's lists to its front.
+//!
+//! The offsets come from one prefix sum over the final degrees, and the
+//! gaps deduplication left between buckets close with one left-to-right
+//! pass of `copy_within`. The result is canonical, so it is the same for
+//! every thread count.
+//!
+//! **Bucket width.** A bucket spans the largest power-of-two number of
+//! vertices holding at most about 32K arcs at the input's mean degree, so
+//! one bucket's counters and targets stay in cache (1024 vertices on
+//! kron 2^20, about 30 arcs per vertex). The width is then raised, if
+//! needed, so there are at most 4096 buckets, which keeps the per-chunk
+//! counts and range tables at O(chunks × buckets) words for any `n`.
 
-use crate::disjoint::DisjointWriter;
 use crate::{CsrGraph, Edge, EdgeList, Node};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::borrow::Cow;
+use std::slice::IterMut;
+
+/// Arcs one bucket should hold at the input's mean degree.
+const BUCKET_ARCS: usize = 1 << 15;
+
+/// Most buckets one build uses.
+const MAX_BUCKETS: usize = 1 << 12;
+
+/// Edge chunks the partition cuts per thread.
+const CHUNKS_PER_THREAD: usize = 4;
+
+/// Fewest edges in one chunk: smaller inputs are partitioned by fewer
+/// chunks, down to one that runs on the calling thread.
+const MIN_CHUNK_EDGES: usize = 1 << 13;
 
 /// Configurable builder from edges to [`CsrGraph`].
+///
+/// A builder borrows the edges it is seeded with by
+/// [`GraphBuilder::from_edges`] and copies them only if
+/// [`GraphBuilder::add_edge`] is called.
 ///
 /// ```
 /// use afforest_graph::GraphBuilder;
@@ -18,42 +65,44 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// assert_eq!(g.num_edges(), 2); // duplicates removed by default
 /// ```
 #[derive(Clone, Debug)]
-pub struct GraphBuilder {
+pub struct GraphBuilder<'a> {
     num_vertices: usize,
-    edges: Vec<Edge>,
+    edges: Cow<'a, [Edge]>,
     dedup: bool,
     drop_self_loops: bool,
 }
 
-impl GraphBuilder {
+impl<'a> GraphBuilder<'a> {
     /// Starts an empty builder over `num_vertices` vertices.
     pub fn new(num_vertices: usize) -> Self {
         Self {
             num_vertices,
-            edges: Vec::new(),
+            edges: Cow::Owned(Vec::new()),
             dedup: true,
             drop_self_loops: true,
         }
     }
 
-    /// Builder seeded from a slice of undirected edges.
-    pub fn from_edges(num_vertices: usize, edges: &[Edge]) -> Self {
-        let mut b = Self::new(num_vertices);
-        b.edges.extend_from_slice(edges);
-        b
+    /// Builder seeded from a slice of undirected edges, which it borrows.
+    pub fn from_edges(num_vertices: usize, edges: &'a [Edge]) -> Self {
+        Self {
+            edges: Cow::Borrowed(edges),
+            ..Self::new(num_vertices)
+        }
     }
 
     /// Builder consuming an [`EdgeList`].
     pub fn from_edge_list(el: EdgeList) -> Self {
-        let num_vertices = el.num_vertices();
-        let mut b = Self::new(num_vertices);
-        b.edges = el.into_edges();
-        b
+        Self {
+            num_vertices: el.num_vertices(),
+            edges: Cow::Owned(el.into_edges()),
+            ..Self::new(0)
+        }
     }
 
     /// Adds one undirected edge.
     pub fn add_edge(&mut self, u: Node, v: Node) -> &mut Self {
-        self.edges.push((u, v));
+        self.edges.to_mut().push((u, v));
         self
     }
 
@@ -66,7 +115,7 @@ impl GraphBuilder {
     /// Whether to remove self-loops. Default `true`.
     ///
     /// Self-loops never affect connectivity; dropping them matches the GAP
-    /// benchmark preprocessing.
+    /// benchmark preprocessing. A kept self-loop is one arc, not two.
     pub fn drop_self_loops(mut self, yes: bool) -> Self {
         self.drop_self_loops = yes;
         self
@@ -86,104 +135,184 @@ impl GraphBuilder {
             "edge endpoint out of range for {} vertices",
             n
         );
+        let shift = bucket_shift(n, 2 * self.edges.len());
+        let width = 1usize << shift;
+        let buckets = n.div_ceil(width);
+        let (dedup, keep_loops) = (self.dedup, !self.drop_self_loops);
 
-        // Filter self-loops up front (cheap, avoids two scatter slots each).
-        let edges: Vec<Edge> = if self.drop_self_loops {
-            self.edges
-                .into_par_iter()
-                .filter(|&(u, v)| u != v)
-                .collect()
-        } else {
-            self.edges
-        };
+        // Pass 1: count each chunk's arcs per bucket, lay the arc buffer
+        // out bucket-major and chunk-minor, and let every chunk fill its
+        // own range of each bucket.
+        let chunk_len = self
+            .edges
+            .len()
+            .div_ceil(CHUNKS_PER_THREAD * rayon::current_num_threads())
+            .max(MIN_CHUNK_EDGES);
+        let counts: Vec<Vec<usize>> = self
+            .edges
+            .par_chunks(chunk_len)
+            .with_max_len(1)
+            .map(|chunk| {
+                let mut count = vec![0usize; buckets];
+                for_each_arc(chunk, keep_loops, |s, _| count[s as usize >> shift] += 1);
+                count
+            })
+            .collect();
+        let mut bucket_start = Vec::with_capacity(buckets + 1);
+        let mut total = 0usize;
+        for b in 0..buckets {
+            bucket_start.push(total);
+            total += counts.iter().map(|count| count[b]).sum::<usize>();
+        }
+        bucket_start.push(total);
 
-        // Degree counting over both arc directions, atomically.
-        let degrees: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        edges.par_iter().for_each(|&(u, v)| {
-            degrees[u as usize].fetch_add(1, Ordering::Relaxed);
-            if u != v {
-                degrees[v as usize].fetch_add(1, Ordering::Relaxed);
+        let mut arcs: Vec<Edge> = vec![(0, 0); total];
+        let mut sinks: Vec<Vec<IterMut<'_, Edge>>> =
+            counts.iter().map(|_| Vec::with_capacity(buckets)).collect();
+        let mut rest = &mut arcs[..];
+        for b in 0..buckets {
+            for (sink, count) in sinks.iter_mut().zip(&counts) {
+                let (range, tail) = std::mem::take(&mut rest).split_at_mut(count[b]);
+                sink.push(range.iter_mut());
+                rest = tail;
             }
-        });
+        }
+        drop(counts);
+        self.edges
+            .chunks(chunk_len)
+            .zip(sinks)
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .with_max_len(1)
+            .for_each(|(chunk, mut sink)| {
+                for_each_arc(chunk, keep_loops, |s, t| {
+                    *sink[s as usize >> shift].next().expect("counted") = (s, t);
+                })
+            });
+        drop(self.edges);
 
-        // Exclusive prefix sum into offsets.
+        // Pass 2: every bucket sorts its own arcs into its own slices of
+        // `targets` and `degree`.
+        let mut targets: Vec<Node> = vec![0; total];
+        let mut degree = vec![0usize; n];
+        let mut work = Vec::with_capacity(buckets);
+        let mut rest = &mut targets[..];
+        for (b, degree) in degree.chunks_mut(width).enumerate() {
+            let range = bucket_start[b]..bucket_start[b + 1];
+            let (bucket_targets, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+            work.push((&arcs[range], bucket_targets, degree));
+            rest = tail;
+        }
+        let kept: Vec<usize> = work
+            .into_par_iter()
+            .with_max_len(1)
+            .map(|(arcs, targets, degree)| sort_bucket(arcs, targets, degree, width - 1, dedup))
+            .collect();
+        drop(arcs);
+
+        // Close the gaps deduplication left between buckets.
+        let mut len = 0usize;
+        for (&start, &kept) in bucket_start.iter().zip(&kept) {
+            if start != len {
+                targets.copy_within(start..start + kept, len);
+            }
+            len += kept;
+        }
+        targets.truncate(len);
+
         let mut offsets = Vec::with_capacity(n + 1);
         let mut acc = 0usize;
         offsets.push(0);
-        for d in &degrees {
-            acc += d.load(Ordering::Relaxed);
+        for d in degree {
+            acc += d;
             offsets.push(acc);
         }
+        CsrGraph::from_parts(offsets, targets)
+    }
+}
 
-        // Scatter arcs. `cursor[v]` is the next free slot in v's adjacency:
-        // fetch_add hands each slot index in [offsets[v], offsets[v+1]) to
-        // exactly one arc (the prefix sum sized the ranges from the same
-        // degree counts), which is the disjointness contract DisjointWriter
-        // requires.
-        let cursor: Vec<AtomicUsize> = offsets[..n].iter().map(|&o| AtomicUsize::new(o)).collect();
-        let total = acc;
-        let mut targets = vec![0 as Node; total];
-        {
-            let writer = DisjointWriter::new(&mut targets);
-            edges.par_iter().for_each(|&(u, v)| {
-                let iu = cursor[u as usize].fetch_add(1, Ordering::Relaxed);
-                // SAFETY: `iu` was claimed exclusively by this arc via
-                // fetch_add; no other write can receive the same index.
-                unsafe { writer.write(iu, v) };
-                if u != v {
-                    let iv = cursor[v as usize].fetch_add(1, Ordering::Relaxed);
-                    // SAFETY: as above — `iv` is exclusively claimed.
-                    unsafe { writer.write(iv, u) };
-                }
-            });
-        }
+/// `log2` of the bucket width for `n` vertices and about `arcs` arcs: the
+/// widest power of two that holds about [`BUCKET_ARCS`] arcs at the mean
+/// degree, but no wider than all `n` vertices, widened if needed to keep
+/// at most [`MAX_BUCKETS`] buckets.
+fn bucket_shift(n: usize, arcs: usize) -> u32 {
+    let per_bucket = (BUCKET_ARCS as u128 * n as u128 / arcs.max(1) as u128).max(1);
+    let at_mean_degree = per_bucket.ilog2().min(n.next_power_of_two().ilog2());
+    let at_bucket_cap = n.div_ceil(MAX_BUCKETS).next_power_of_two().ilog2();
+    at_mean_degree.max(at_bucket_cap)
+}
 
-        // Sort each adjacency list; optionally dedup (which requires
-        // rebuilding offsets).
-        if self.dedup {
-            let mut lists: Vec<Vec<Node>> = offsets
-                .par_windows(2)
-                .map(|w| {
-                    let mut list = targets[w[0]..w[1]].to_vec();
-                    list.sort_unstable();
-                    list.dedup();
-                    list
-                })
-                .collect();
-            let mut new_offsets = Vec::with_capacity(n + 1);
-            let mut acc = 0usize;
-            new_offsets.push(0);
-            for l in &lists {
-                acc += l.len();
-                new_offsets.push(acc);
-            }
-            let mut new_targets = Vec::with_capacity(acc);
-            for l in &mut lists {
-                new_targets.append(l);
-            }
-            CsrGraph::from_parts(new_offsets, new_targets)
-        } else {
-            sort_ranges(&mut targets, &offsets);
-            CsrGraph::from_parts(offsets, targets)
+/// Calls `f(source, target)` for every arc of `edges`: both directions of
+/// each edge, one arc for a self-loop if `keep_loops`, none otherwise.
+#[inline]
+fn for_each_arc(edges: &[Edge], keep_loops: bool, mut f: impl FnMut(Node, Node)) {
+    for &(u, v) in edges {
+        if u != v {
+            f(u, v);
+            f(v, u);
+        } else if keep_loops {
+            f(u, u);
         }
     }
 }
 
-/// Sorts each `targets[offsets[v]..offsets[v+1]]` range in parallel.
-fn sort_ranges(targets: &mut [Node], offsets: &[usize]) {
-    // Split the slice into per-vertex chunks without aliasing by walking the
-    // offsets and using split_at_mut iteratively, then sort chunks in
-    // parallel via rayon scope over the collected &mut slices.
-    let mut rest = targets;
-    let mut prev = 0usize;
-    let mut chunks: Vec<&mut [Node]> = Vec::with_capacity(offsets.len() - 1);
-    for &off in &offsets[1..] {
-        let (chunk, tail) = rest.split_at_mut(off - prev);
-        chunks.push(chunk);
-        rest = tail;
-        prev = off;
+/// Sorts one bucket's `arcs` by source into `targets`, then sorts each
+/// adjacency list, drops its duplicates if `dedup`, and packs the lists
+/// to the front of `targets`. `degree` holds one zeroed counter per
+/// vertex of the bucket, the vertex `s` at `s & mask`, and ends with each
+/// final degree. Returns the number of targets kept.
+fn sort_bucket(
+    arcs: &[Edge],
+    targets: &mut [Node],
+    degree: &mut [usize],
+    mask: usize,
+    dedup: bool,
+) -> usize {
+    for &(s, _) in arcs {
+        degree[s as usize & mask] += 1;
     }
-    chunks.par_iter_mut().for_each(|c| c.sort_unstable());
+    let mut next = Vec::with_capacity(degree.len());
+    let mut acc = 0usize;
+    for &d in degree.iter() {
+        next.push(acc);
+        acc += d;
+    }
+    for &(s, t) in arcs {
+        let slot = &mut next[s as usize & mask];
+        targets[*slot] = t;
+        *slot += 1;
+    }
+
+    let (mut start, mut len) = (0usize, 0usize);
+    for d in degree.iter_mut() {
+        let list = &mut targets[start..start + *d];
+        list.sort_unstable();
+        let kept = if dedup {
+            dedup_sorted(list)
+        } else {
+            list.len()
+        };
+        if start != len {
+            targets.copy_within(start..start + kept, len);
+        }
+        start += *d;
+        *d = kept;
+        len += kept;
+    }
+    len
+}
+
+/// Moves the distinct values of the sorted `list` to its front, in order,
+/// and returns how many there are.
+fn dedup_sorted(list: &mut [Node]) -> usize {
+    let mut kept = 0usize;
+    for i in 0..list.len() {
+        if kept == 0 || list[i] != list[kept - 1] {
+            list[kept] = list[i];
+            kept += 1;
+        }
+    }
+    kept
 }
 
 #[cfg(test)]
@@ -252,6 +381,19 @@ mod tests {
         b.add_edge(0, 1).add_edge(1, 2);
         let g = b.build();
         assert_eq!(g.num_edges(), 2);
+    }
+
+    #[test]
+    fn bucket_width_follows_mean_degree_within_the_bucket_cap() {
+        // kron 2^20: about 30 arcs per vertex, so 1024-vertex buckets.
+        assert_eq!(bucket_shift(1 << 20, 31_406_164), 10);
+        // A mean degree of 1024 would want 32-vertex buckets, but 2^24
+        // vertices then need 4096-vertex buckets to stay at 4096.
+        assert_eq!(bucket_shift(1 << 24, 1 << 34), 12);
+        // Sparse inputs get one bucket, no wider than the graph.
+        assert_eq!(bucket_shift(1_000, 100), 10);
+        assert_eq!(bucket_shift(1, 0), 0);
+        assert_eq!(bucket_shift(0, 0), 0);
     }
 
     #[test]

@@ -53,11 +53,11 @@ impl CsrGraph {
         if *offsets.last().unwrap() != targets.len() {
             return invalid("offsets must end at targets.len()");
         }
-        if !offsets.windows(2).all(|w| w[0] <= w[1]) {
+        if !offsets.par_windows(2).all(|w| w[0] <= w[1]) {
             return invalid("offsets must be monotone non-decreasing");
         }
         let n = offsets.len() - 1;
-        if !targets.iter().all(|&t| (t as usize) < n) {
+        if !targets.par_iter().all(|&t| (t as usize) < n) {
             return invalid("edge target out of range");
         }
         Ok(Self {

@@ -7,7 +7,8 @@
 //!   representation used by the paper's CPU implementation (and by the GAP
 //!   benchmark suite it extends).
 //! - [`EdgeList`] / [`GraphBuilder`]: mutable edge accumulation and parallel
-//!   CSR construction (sort + dedup + symmetrize).
+//!   CSR construction (symmetrize + sort + dedup), an atomic-free two-pass
+//!   partition of the arcs by source bucket.
 //! - [`generators`]: synthetic workloads reproducing the structural classes
 //!   of the paper's datasets — uniform random (`urand`), Kronecker/RMAT
 //!   (`kron`, `twitter` stand-in), 2-D grid road networks (`road`,
@@ -30,15 +31,14 @@
 //! assert_eq!(g.neighbors(3), &[4]);
 //! ```
 
-// The only unsafe code in the workspace (outside vendored shims) lives in
-// `disjoint`; force every unsafe operation inside unsafe fns to carry its
-// own explicit unsafe block + SAFETY comment.
-#![deny(unsafe_op_in_unsafe_fn)]
+// The CSR builder writes every slot through a `split_at_mut` range its
+// writer owns, so this crate, like every other workspace crate outside
+// `vendor/`, needs no unsafe code.
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod csr;
 pub mod degrees;
-pub mod disjoint;
 pub mod edgelist;
 pub mod error;
 pub mod generators;
