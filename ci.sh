@@ -2,10 +2,10 @@
 # One-command verification gate. Thin wrapper so CI systems and humans run
 # the exact same battery; the actual sequencing lives in `cargo xtask ci`:
 #
-#   1. static analysis battery (crates/analysis, 8 passes: SAFETY coverage,
+#   1. static analysis battery (crates/analysis, 9 passes: SAFETY coverage,
 #      ordering allowlist, SeqCst ban, metric fixture, lock order, panic
-#      paths, audit drift, opcode consistency) — JSON report written to
-#      target/analysis.json
+#      paths, audit drift, opcode consistency, stage doc) — JSON report
+#      written to target/analysis.json
 #   2. cargo fmt --check
 #   3. cargo clippy --workspace --all-targets -- -D warnings
 #   4. cargo test --workspace  at RAYON_NUM_THREADS=1, 2 and 4 (one run

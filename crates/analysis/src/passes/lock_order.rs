@@ -74,8 +74,8 @@ pub const LOCK_ORDER_EDGES: &[(&str, &str, &str)] = &[
         "reqtrace::GATE",
         "recorder::GATE",
         "over-approximation: bare-name call expansion reads `RootSpan::begin`/`StageSpan::begin` \
-         under the reqtrace test gate as the flight recorder's session `begin`; the tracing \
-         runtime never touches the recorder, and the phantom order test-gate -> recorder is \
+         under the reqtrace test gate as the session recorder's `begin`; the tracing runtime \
+         never touches the recorder, and the phantom order test-gate -> recorder is \
          acyclic either way",
     ),
 ];

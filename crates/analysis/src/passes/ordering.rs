@@ -33,7 +33,8 @@ pub const ORDERING_ALLOWLIST: &[&str] = &[
     // contribution under audit.
     "crates/baselines/src/",
     // Observability: sharded Relaxed statistics counters, the registry,
-    // and the flight-recorder seqlock ring.
+    // and the record ring's seqlock under the flight recorder and the
+    // span ring.
     "crates/obs/src/",
     // Serving runtime: Relaxed service statistics and the shutdown flag;
     // all cross-thread hand-off goes through Mutex/Condvar/RwLock.

@@ -76,8 +76,11 @@ pub fn rmat(scale: u32, m: usize, params: RmatParams, seed: u64) -> CsrGraph {
     params.validate();
     let n = 1usize << scale;
     let num_chunks = m.div_ceil(CHUNK.max(1)).max(1);
+    // One part per chunk: there are few, heavy chunks, and the pool runs
+    // an operation over at most 256 items on the caller unless capped.
     let edges: Vec<Edge> = (0..num_chunks)
         .into_par_iter()
+        .with_max_len(1)
         .flat_map_iter(|chunk| {
             let lo = chunk * CHUNK;
             let hi = ((chunk + 1) * CHUNK).min(m);

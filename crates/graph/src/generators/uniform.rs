@@ -29,8 +29,11 @@ const CHUNK: usize = 1 << 16;
 pub fn uniform_random(n: usize, m: usize, seed: u64) -> CsrGraph {
     assert!(n > 0 || m == 0, "cannot place edges in an empty graph");
     let num_chunks = m.div_ceil(CHUNK.max(1)).max(1);
+    // One part per chunk: there are few, heavy chunks, and the pool runs
+    // an operation over at most 256 items on the caller unless capped.
     let edges: Vec<Edge> = (0..num_chunks)
         .into_par_iter()
+        .with_max_len(1)
         .flat_map_iter(|chunk| {
             let lo = chunk * CHUNK;
             let hi = ((chunk + 1) * CHUNK).min(m);

@@ -1,20 +1,38 @@
 //! Memoized DFS over all interleavings of the thread machines.
 //!
-//! A checker state is `(π memory, thread states)`. From each state, every
-//! runnable thread may take the next shared-memory access; the explorer
-//! branches on all of them, deduplicating states it has already expanded
-//! (two different schedule prefixes reaching the same state have identical
-//! futures, so one expansion suffices — this is what keeps the search
-//! tractable despite the factorial number of schedules).
+//! A checker state is `(shared memory, thread states)`. From each state,
+//! every runnable thread may take the next shared-memory access; the
+//! explorer branches on all of them, deduplicating states it has already
+//! expanded (two different schedule prefixes reaching the same state have
+//! identical futures, so one expansion suffices — this is what keeps the
+//! search tractable despite the factorial number of schedules).
 //!
-//! Safety properties (Invariant 1, acyclicity) are checked on **every**
-//! reached state; functional properties (partition correctness, the
-//! merge-count duality of Theorem 1) are checked on terminal states where
-//! all threads have finished.
+//! [`search`] is generic over the machines ([`Machine`]) and takes two
+//! checks: safety properties run on **every** reached state, functional
+//! properties on terminal states where all threads have finished.
+//! [`explore`] instantiates it for the `π` machines: Invariant 1 and
+//! acyclicity on every state, partition correctness and the merge-count
+//! duality of Theorem 1 on terminal states. The record ring's machines
+//! ([`crate::ring`]) instantiate it too.
 
 use crate::machine::{Memory, Node, Thread};
 use crate::oracle::sequential_components;
+use crate::ring::RingMemory;
 use std::collections::HashSet;
+use std::hash::Hash;
+
+/// One thread the explorer schedules: every [`Machine::step`] is exactly
+/// one shared-memory access.
+pub trait Machine: Clone + Eq + Hash {
+    /// The shared memory the threads access.
+    type Memory: Clone + Eq + Hash;
+
+    /// Whether the thread still has steps to execute.
+    fn is_runnable(&self) -> bool;
+
+    /// Advances by one shared-memory access. Panics on finished threads.
+    fn step(&mut self, mem: &mut Self::Memory);
+}
 
 /// A scenario to exhaustively check: `n` vertices (initially `π(v) = v`)
 /// and one machine per logical thread.
@@ -89,6 +107,31 @@ pub enum Violation {
         /// Terminal memory.
         memory: Memory,
     },
+    /// A ring reader accepted words that are not the whole payload of the
+    /// writer holding the stamped sequence number.
+    TornRead {
+        /// The sequence number the stamp named.
+        seq: u64,
+        /// The words the reader accepted.
+        words: [u64; crate::ring::WORDS],
+        /// Ring memory when it was accepted.
+        memory: RingMemory,
+    },
+    /// A written ring slot ended with an odd stamp, or with words that are
+    /// not the whole payload of the stamp's writer.
+    TornSlot {
+        /// The slot.
+        slot: usize,
+        /// Terminal ring memory.
+        memory: RingMemory,
+    },
+    /// A ring writer dropped its record before the cursor lapped the ring.
+    EarlyDrop {
+        /// The dropped record's sequence number.
+        seq: u64,
+        /// Ring memory at the drop.
+        memory: RingMemory,
+    },
 }
 
 impl std::fmt::Display for Violation {
@@ -121,6 +164,17 @@ impl std::fmt::Display for Violation {
                 f,
                 "{got} links merged, expected |V|-C = {expected} (pi = {memory:?})"
             ),
+            Violation::TornRead { seq, words, memory } => write!(
+                f,
+                "reader accepted {words:?} as record {seq}, not that writer's payload ({memory:?})"
+            ),
+            Violation::TornSlot { slot, memory } => {
+                write!(f, "slot {slot} ends torn or unpublished ({memory:?})")
+            }
+            Violation::EarlyDrop { seq, memory } => write!(
+                f,
+                "record {seq} dropped before the ring was lapped ({memory:?})"
+            ),
         }
     }
 }
@@ -149,31 +203,23 @@ impl Outcome {
 pub const MAX_VIOLATIONS: usize = 8;
 
 #[derive(Clone, PartialEq, Eq, Hash)]
-struct State {
-    mem: Memory,
-    threads: Vec<Thread>,
+struct State<T: Machine> {
+    mem: T::Memory,
+    threads: Vec<T>,
 }
 
-/// Exhaustively explores every interleaving of the scenario's threads.
-pub fn explore(scenario: &Scenario) -> Outcome {
-    let mem: Memory = (0..scenario.n as Node).collect();
-    let edges: Vec<(Node, Node)> = scenario
-        .threads
-        .iter()
-        .filter_map(|t| match t {
-            Thread::Link(m) => Some(m.edge()),
-            _ => None,
-        })
-        .collect();
-    let expected = sequential_components(scenario.n, &edges);
-    let expected_merges = scenario.n - count_components(&expected);
-
+/// Exhaustively explores every interleaving of `threads` from `mem`,
+/// running `check` on every reached state and `check_terminal` on every
+/// state where all threads have finished.
+pub fn search<T: Machine>(
+    mem: T::Memory,
+    threads: Vec<T>,
+    check: impl Fn(&T::Memory, &[T]) -> Option<Violation>,
+    check_terminal: impl Fn(&T::Memory, &[T]) -> Option<Violation>,
+) -> Outcome {
     let mut outcome = Outcome::default();
-    let mut visited: HashSet<State> = HashSet::new();
-    let mut stack: Vec<State> = vec![State {
-        mem,
-        threads: scenario.threads.clone(),
-    }];
+    let mut visited: HashSet<State<T>> = HashSet::new();
+    let mut stack = vec![State { mem, threads }];
 
     while let Some(state) = stack.pop() {
         if !visited.insert(state.clone()) {
@@ -181,7 +227,7 @@ pub fn explore(scenario: &Scenario) -> Outcome {
         }
         outcome.states += 1;
 
-        check_safety(&state.mem, &mut outcome);
+        outcome.violations.extend(check(&state.mem, &state.threads));
         if outcome.violations.len() >= MAX_VIOLATIONS {
             break;
         }
@@ -199,7 +245,9 @@ pub fn explore(scenario: &Scenario) -> Outcome {
 
         if terminal {
             outcome.terminal_states += 1;
-            check_terminal(&state, &expected, expected_merges, &mut outcome);
+            outcome
+                .violations
+                .extend(check_terminal(&state.mem, &state.threads));
             if outcome.violations.len() >= MAX_VIOLATIONS {
                 break;
             }
@@ -208,16 +256,35 @@ pub fn explore(scenario: &Scenario) -> Outcome {
     outcome
 }
 
+/// Exhaustively explores every interleaving of the scenario's threads.
+pub fn explore(scenario: &Scenario) -> Outcome {
+    let edges: Vec<(Node, Node)> = scenario
+        .threads
+        .iter()
+        .filter_map(|t| match t {
+            Thread::Link(m) => Some(m.edge()),
+            _ => None,
+        })
+        .collect();
+    let expected = sequential_components(scenario.n, &edges);
+    let expected_merges = scenario.n - count_components(&expected);
+    search(
+        (0..scenario.n as Node).collect(),
+        scenario.threads.clone(),
+        |mem, _| check_safety(mem),
+        |mem, threads| check_terminal(mem, threads, &expected, expected_merges),
+    )
+}
+
 /// Checks Invariant 1 and acyclicity on one reachable state.
-fn check_safety(mem: &Memory, outcome: &mut Outcome) {
+fn check_safety(mem: &Memory) -> Option<Violation> {
     for (x, &p) in mem.iter().enumerate() {
         if p > x as Node {
-            outcome.violations.push(Violation::InvariantBroken {
+            return Some(Violation::InvariantBroken {
                 vertex: x as Node,
                 parent: p,
                 memory: mem.clone(),
             });
-            return;
         }
     }
     // With Invariant 1 intact, only self-loops can close cycles, but check
@@ -233,41 +300,40 @@ fn check_safety(mem: &Memory, outcome: &mut Outcome) {
             x = p;
         }
         if mem[x] as usize != x {
-            outcome.violations.push(Violation::Cycle {
+            return Some(Violation::Cycle {
                 vertex: start as Node,
                 memory: mem.clone(),
             });
-            return;
         }
     }
+    None
 }
 
 /// Checks partition correctness and the merge-count duality on a terminal
 /// state.
-fn check_terminal(state: &State, expected: &[Node], expected_merges: usize, out: &mut Outcome) {
-    let got: Vec<Node> = (0..state.mem.len())
-        .map(|v| chase_root(&state.mem, v as Node))
-        .collect();
+fn check_terminal(
+    mem: &Memory,
+    threads: &[Thread],
+    expected: &[Node],
+    expected_merges: usize,
+) -> Option<Violation> {
+    let got: Vec<Node> = (0..mem.len()).map(|v| chase_root(mem, v as Node)).collect();
     if !same_partition(&got, expected) {
-        out.violations.push(Violation::WrongPartition {
-            memory: state.mem.clone(),
+        return Some(Violation::WrongPartition {
+            memory: mem.clone(),
             got,
             expected: expected.to_vec(),
         });
-        return;
     }
-    let merges = state
-        .threads
+    let merges = threads
         .iter()
         .filter(|t| matches!(t, Thread::Done { merged: true }))
         .count();
-    if merges != expected_merges {
-        out.violations.push(Violation::MergeCountMismatch {
-            got: merges,
-            expected: expected_merges,
-            memory: state.mem.clone(),
-        });
-    }
+    (merges != expected_merges).then(|| Violation::MergeCountMismatch {
+        got: merges,
+        expected: expected_merges,
+        memory: mem.clone(),
+    })
 }
 
 fn chase_root(mem: &Memory, v: Node) -> Node {

@@ -1,4 +1,5 @@
-//! Schedule-exploring model checker for Afforest's lock-free primitives.
+//! Schedule-exploring model checker for the workspace's lock-free
+//! primitives.
 //!
 //! `link` and `compress` (crates/core/src/{link,compress}.rs) are correct
 //! only by a memory-ordering argument: `link` hooks the higher-index root
@@ -24,11 +25,18 @@
 //! serializing the accesses in every possible order covers every real
 //! execution.
 //!
-//! The checker deliberately shares no code with `afforest-core`; the
-//! [`machine`] docs carry the mirrored pseudocode and the
-//! `model_matches_real_implementation` test below replays sequential
-//! schedules through the real `link`/`compress` to guard the
-//! correspondence.
+//! The same DFS checks the observability crate's record ring
+//! (`afforest_obs::ring`, [`ring`]): two or three writers and a reader
+//! over one or two slots, where every record the reader keeps must be one
+//! writer's whole payload under that writer's `seq`. The ring's argument
+//! also rests on its fences, which a serializing checker cannot see;
+//! DESIGN.md §8 carries that half.
+//!
+//! The checker deliberately shares no code with the implementations it
+//! checks; the [`machine`] and [`ring`] docs carry the mirrored
+//! pseudocode, and the `model_matches_real_implementation` and
+//! `model_matches_real_ring` tests below replay sequential schedules
+//! through the real code to guard the correspondence.
 //!
 //! Run the standard battery with `cargo run -p afforest-modelcheck`
 //! (wired into `cargo xtask ci` / `ci.sh`).
@@ -38,18 +46,38 @@
 pub mod explore;
 pub mod machine;
 pub mod oracle;
+pub mod ring;
 
-pub use explore::{explore, Outcome, Scenario, Violation, MAX_VIOLATIONS};
+pub use explore::{explore, search, Machine, Outcome, Scenario, Violation, MAX_VIOLATIONS};
 pub use machine::{
     CompressMachine, FindRootMachine, LinkMachine, Memory, Node, StepOutcome, Thread,
 };
+pub use ring::{explore_ring, ReaderMachine, RingMemory, RingScenario, RingThread, WriterMachine};
+
+/// What a battery entry explores.
+pub enum Check {
+    /// `link`/`compress`/`find_root` machines over `π`.
+    Pi(Scenario),
+    /// Record-ring `record`/`snapshot` machines.
+    Ring(RingScenario),
+}
+
+impl Check {
+    /// Exhausts the scenario's interleavings.
+    pub fn run(&self) -> Outcome {
+        match self {
+            Check::Pi(s) => explore(s),
+            Check::Ring(s) => explore_ring(s),
+        }
+    }
+}
 
 /// A named scenario in the standard battery.
 pub struct BatteryEntry {
     /// Human-readable scenario name (shown by the CLI).
     pub name: &'static str,
     /// The scenario itself.
-    pub scenario: Scenario,
+    pub check: Check,
 }
 
 /// The standard verification battery: every shape the paper's proof
@@ -58,9 +86,17 @@ pub struct BatteryEntry {
 ///
 /// Covers racing links on shared endpoints (triangle, star, path),
 /// disjoint links (independence), duplicate edges (idempotence),
-/// link+compress races, link+find_root races, and 3-thread mixes.
+/// link+compress races, link+find_root races, 3-thread mixes, and ring
+/// writers lapping each other under a racing reader.
 pub fn standard_battery() -> Vec<BatteryEntry> {
-    let entry = |name, scenario| BatteryEntry { name, scenario };
+    let entry = |name, scenario| BatteryEntry {
+        name,
+        check: Check::Pi(scenario),
+    };
+    let ring = |name, capacity, writers| BatteryEntry {
+        name,
+        check: Check::Ring(RingScenario::new(capacity, writers)),
+    };
     vec![
         entry("2 links / triangle", Scenario::links(3, &[(0, 1), (1, 2)])),
         entry(
@@ -128,6 +164,9 @@ pub fn standard_battery() -> Vec<BatteryEntry> {
             "3 links / 6 vertices, chain merge",
             Scenario::links(6, &[(0, 1), (2, 3), (1, 3)]),
         ),
+        ring("ring: 2 writers + reader / 1 slot", 1, 2),
+        ring("ring: 3 writers + reader / 1 slot", 1, 3),
+        ring("ring: 3 writers + reader / 2 slots", 2, 3),
     ]
 }
 
@@ -135,7 +174,7 @@ pub fn standard_battery() -> Vec<BatteryEntry> {
 pub fn run_standard_battery() -> Vec<(&'static str, Outcome)> {
     standard_battery()
         .into_iter()
-        .map(|e| (e.name, explore(&e.scenario)))
+        .map(|e| (e.name, e.check.run()))
         .collect()
 }
 
@@ -289,6 +328,74 @@ mod tests {
                 }
                 assert_eq!(model_root, real_root, "find_root({u}) from {start:?}");
             }
+        }
+    }
+
+    /// A ring writer that claims nothing (`fetch_add`, then plain stores
+    /// of the odd stamp, the words and the even stamp) lets two laps fill
+    /// one slot at once, and whichever even stamp lands last makes the
+    /// mixed slot look complete. The checker must report the torn record,
+    /// both as a reader surfacing it and as a slot left holding it.
+    #[test]
+    fn broken_ring_is_caught() {
+        let broken = RingScenario::broken(1, 2);
+        let reads = search(
+            RingMemory::new(1),
+            broken.threads.clone(),
+            ring::check_state,
+            |_, _| None,
+        );
+        assert!(
+            reads
+                .violations
+                .iter()
+                .any(|v| matches!(v, Violation::TornRead { .. })),
+            "expected a TornRead violation, got {:?}",
+            reads.violations
+        );
+        let slots = explore_ring(&broken);
+        assert!(
+            slots
+                .violations
+                .iter()
+                .any(|v| matches!(v, Violation::TornSlot { .. })),
+            "expected a TornSlot violation, got {:?}",
+            slots.violations
+        );
+    }
+
+    /// Guard on the ring model's correspondence with `afforest_obs::ring`:
+    /// replaying writers one after another (the sequential schedule), then
+    /// a reader, must keep exactly the records the real ring's `snapshot`
+    /// returns, before, at and past a full lap.
+    #[test]
+    fn model_matches_real_ring() {
+        use afforest_obs::ring::{Ring, CAPACITY};
+
+        fn run(thread: &mut RingThread, mem: &mut RingMemory) {
+            while thread.is_runnable() {
+                thread.step(mem);
+            }
+        }
+
+        for n in [0, 1, CAPACITY - 1, CAPACITY, CAPACITY + 1, 2 * CAPACITY + 3] {
+            let real = Ring::<{ ring::WORDS }>::new();
+            let mut mem = RingMemory::new(CAPACITY);
+            for k in 0..n as u64 {
+                let payload = [2 * k + 1, 2 * k + 2];
+                real.record(payload);
+                run(
+                    &mut RingThread::Writer(WriterMachine::new(payload)),
+                    &mut mem,
+                );
+            }
+            let mut reader = RingThread::Reader(ReaderMachine::new());
+            run(&mut reader, &mut mem);
+            let RingThread::Reader(reader) = reader else {
+                unreachable!("the reader stays a reader");
+            };
+            assert_eq!(reader.snapshot(), real.snapshot(), "after {n} records");
+            assert_eq!(mem.cursor, real.recorded());
         }
     }
 

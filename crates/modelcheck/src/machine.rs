@@ -31,6 +31,8 @@
 //!   ret false
 //! ```
 
+use crate::explore::Machine;
+
 /// Vertex/parent value inside the model (mirrors `afforest_graph::Node`).
 pub type Node = u32;
 
@@ -310,14 +312,14 @@ pub enum Thread {
     },
 }
 
-impl Thread {
-    /// Whether the thread still has steps to execute.
-    pub fn is_runnable(&self) -> bool {
+impl Machine for Thread {
+    type Memory = Memory;
+
+    fn is_runnable(&self) -> bool {
         !matches!(self, Thread::Done { .. })
     }
 
-    /// Advances by one shared-memory access. Panics on finished threads.
-    pub fn step(&mut self, mem: &mut Memory) -> StepOutcome {
+    fn step(&mut self, mem: &mut Memory) {
         let outcome = match self {
             Thread::Link(m) => m.step(mem),
             Thread::Compress(m) => m.step(mem),
@@ -327,6 +329,5 @@ impl Thread {
         if let StepOutcome::Finished { merged } = outcome {
             *self = Thread::Done { merged };
         }
-        outcome
     }
 }

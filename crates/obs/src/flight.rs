@@ -8,32 +8,13 @@
 //! dump explains *what the runtime was doing*, which counters alone
 //! cannot.
 //!
-//! # Design
-//!
-//! Writers claim a slot with one `fetch_add` on the ring cursor and then
-//! stamp the slot with a seqlock-style version: `2*seq + 1` while the
-//! fields are being written, `2*seq + 2` once complete. Readers
-//! ([`Ring::snapshot`]) load the stamp before and after copying the
-//! fields and keep the event only if both loads agree on a completed
-//! stamp — a slot caught mid-overwrite is simply skipped. Events carry
-//! plain `u64` payloads (no pointers, no allocation), so a torn read
-//! can never be unsound, only discarded.
-//!
-//! One writer-side race is accepted by design: if a writer stalls
-//! mid-write for long enough that the cursor laps the whole ring
-//! ([`CAPACITY`] more events) and a second writer lands on the same
-//! slot, their field writes may interleave under the younger stamp. The
-//! stamp protocol cannot rule this out without locks; at ring capacity
-//! 1024 and the event rates involved (epochs, faults — not requests)
-//! the window is negligible, and the cost is one garbled *historical*
-//! event in a diagnostic dump, detected in practice by an out-of-range
-//! kind. Real flight recorders make the same trade.
+//! [`Ring`] is a typed view of [`crate::ring::Ring`], which owns the
+//! slot protocol: an event is five words (`ts_us`, `kind`, `args`), and
+//! its `seq` is the ring's sequence number.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Number of events the ring retains (oldest overwritten first).
-pub const CAPACITY: usize = 1024;
+pub use crate::ring::CAPACITY;
 
 /// One recorded event, as copied out by [`Ring::snapshot`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,30 +30,10 @@ pub struct Event {
     pub args: [u64; 3],
 }
 
-struct RingSlot {
-    /// 0 = never written; `2*seq+1` = writing; `2*seq+2` = complete.
-    stamp: AtomicU64,
-    ts_us: AtomicU64,
-    kind: AtomicU64,
-    args: [AtomicU64; 3],
-}
-
-impl RingSlot {
-    const fn new() -> RingSlot {
-        RingSlot {
-            stamp: AtomicU64::new(0),
-            ts_us: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            args: [const { AtomicU64::new(0) }; 3],
-        }
-    }
-}
-
 /// The event ring. Usually accessed through a process-global instance
 /// owned by the serving crate; constructible directly for tests.
 pub struct Ring {
-    next: AtomicU64,
-    slots: Box<[RingSlot]>,
+    ring: crate::ring::Ring<5>,
     epoch: Instant,
 }
 
@@ -86,62 +47,36 @@ impl Ring {
     /// Creates an empty ring of [`CAPACITY`] slots.
     pub fn new() -> Ring {
         Ring {
-            next: AtomicU64::new(0),
-            slots: (0..CAPACITY).map(|_| RingSlot::new()).collect(),
+            ring: crate::ring::Ring::new(),
             epoch: Instant::now(),
         }
     }
 
-    /// Records one event. Lock-free: one `fetch_add` plus plain atomic
-    /// stores. Safe from any thread, including inside a panic hook.
-    pub fn record(&self, kind: u16, args: [u64; 3]) {
-        let seq = self.next.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq % CAPACITY as u64) as usize];
-        let ts = self.epoch.elapsed().as_micros() as u64;
-        // Release-stamp the writing mark so readers that observe it
-        // (via Acquire) know the fields below may be in flux.
-        slot.stamp.store(seq * 2 + 1, Ordering::Release);
-        slot.ts_us.store(ts, Ordering::Relaxed);
-        slot.kind.store(kind as u64, Ordering::Relaxed);
-        for (dst, v) in slot.args.iter().zip(args) {
-            dst.store(v, Ordering::Relaxed);
-        }
-        // Release the completed stamp: a reader seeing 2*seq+2 with
-        // Acquire also sees every field store above.
-        slot.stamp.store(seq * 2 + 2, Ordering::Release);
+    /// Records one event. Lock-free and safe from any thread, including
+    /// inside a panic hook.
+    pub fn record(&self, kind: u16, [a, b, c]: [u64; 3]) {
+        let ts_us = self.epoch.elapsed().as_micros() as u64;
+        self.ring.record([ts_us, u64::from(kind), a, b, c]);
     }
 
     /// Total events ever recorded (including ones already overwritten).
     pub fn recorded(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
+        self.ring.recorded()
     }
 
     /// Copies out every retained event, oldest first, without blocking
-    /// writers. Slots caught mid-write are skipped.
+    /// writers.
     pub fn snapshot(&self) -> Vec<Event> {
-        let mut out = Vec::with_capacity(CAPACITY);
-        for slot in self.slots.iter() {
-            let before = slot.stamp.load(Ordering::Acquire);
-            if before == 0 || before % 2 == 1 {
-                continue; // empty or mid-write
-            }
-            let ev = Event {
-                seq: before / 2 - 1,
-                ts_us: slot.ts_us.load(Ordering::Relaxed),
-                kind: slot.kind.load(Ordering::Relaxed) as u16,
-                args: [
-                    slot.args[0].load(Ordering::Relaxed),
-                    slot.args[1].load(Ordering::Relaxed),
-                    slot.args[2].load(Ordering::Relaxed),
-                ],
-            };
-            let after = slot.stamp.load(Ordering::Acquire);
-            if after == before {
-                out.push(ev);
-            }
-        }
-        out.sort_by_key(|e| e.seq);
-        out
+        self.ring
+            .snapshot()
+            .into_iter()
+            .map(|(seq, [ts_us, kind, a, b, c])| Event {
+                seq,
+                ts_us,
+                kind: kind as u16,
+                args: [a, b, c],
+            })
+            .collect()
     }
 }
 
@@ -150,67 +85,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_and_snapshots_in_order() {
+    fn events_round_trip_through_the_ring() {
         let ring = Ring::new();
-        for i in 0..10u64 {
-            ring.record(1, [i, i * 2, 0]);
-        }
+        ring.record(7, [1, u64::MAX, 3]);
+        ring.record(u16::MAX, [4, 5, 6]);
         let events = ring.snapshot();
-        assert_eq!(events.len(), 10);
-        for (i, ev) in events.iter().enumerate() {
-            assert_eq!(ev.seq, i as u64);
-            assert_eq!(ev.args[0], i as u64);
-            assert_eq!(ev.kind, 1);
-        }
-        assert_eq!(ring.recorded(), 10);
-    }
-
-    #[test]
-    fn wraps_keeping_the_newest() {
-        let ring = Ring::new();
-        let total = CAPACITY as u64 + 100;
-        for i in 0..total {
-            ring.record(2, [i, 0, 0]);
-        }
-        let events = ring.snapshot();
-        assert_eq!(events.len(), CAPACITY);
-        assert_eq!(events.first().unwrap().seq, 100);
-        assert_eq!(events.last().unwrap().seq, total - 1);
-        // Seqs are contiguous after the wrap.
-        for w in events.windows(2) {
-            assert_eq!(w[1].seq, w[0].seq + 1);
-        }
-        assert_eq!(ring.recorded(), total);
-    }
-
-    #[test]
-    fn concurrent_writers_every_event_consistent() {
-        let ring = Ring::new();
-        let threads = 8u64;
-        let per = 200u64; // 1600 > CAPACITY: exercises wrap under contention
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let ring = &ring;
-                s.spawn(move || {
-                    for i in 0..per {
-                        // args encode (writer, i) twice so a torn mix is
-                        // detectable.
-                        ring.record(3, [t, i, t * 1_000_000 + i]);
-                    }
-                });
-            }
-        });
-        assert_eq!(ring.recorded(), threads * per);
-        let events = ring.snapshot();
-        assert!(!events.is_empty());
-        for ev in events {
-            assert_eq!(ev.kind, 3);
-            assert_eq!(ev.args[2], ev.args[0] * 1_000_000 + ev.args[1]);
-        }
-    }
-
-    #[test]
-    fn snapshot_of_empty_ring_is_empty() {
-        assert!(Ring::new().snapshot().is_empty());
+        assert_eq!(events.len(), 2);
+        assert_eq!((events[0].seq, events[0].kind), (0, 7));
+        assert_eq!(events[0].args, [1, u64::MAX, 3]);
+        assert_eq!((events[1].seq, events[1].kind), (1, u16::MAX));
+        assert_eq!(events[1].args, [4, 5, 6]);
+        assert!(events[0].ts_us <= events[1].ts_us);
+        assert_eq!(ring.recorded(), 2);
     }
 }

@@ -57,6 +57,7 @@ pub mod json;
 mod recorder;
 pub mod registry;
 pub mod reqtrace;
+pub mod ring;
 mod trace;
 
 pub use trace::{base_of, Histogram, PhaseTotal, SpanRecord, Trace};

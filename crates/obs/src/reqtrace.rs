@@ -19,9 +19,9 @@
 //!   taxonomy ([`STAGE_NAMES`]); the analysis lint checks the taxonomy
 //!   against the DESIGN.md §16 stage table, so docs cannot drift.
 //! - **The span ring.** Retained spans land in a per-process lock-free
-//!   seqlock ring ([`SpanRing`]), the same odd/even stamp protocol as
-//!   `flight.rs`: writers never block, readers discard torn slots. The
-//!   `DumpTraces` wire op snapshots it remotely.
+//!   ring ([`SpanRing`]), a view of [`crate::ring`] like the flight
+//!   recorder: writers never block, readers skip slots being written.
+//!   The `DumpTraces` wire op snapshots it remotely.
 //! - **Tail sampling.** Request-thread spans are buffered thread-local
 //!   under a [`RootSpan`]; when the root completes, the whole tree is
 //!   kept only if the request was *slow* (total duration ≥ the
@@ -44,9 +44,6 @@ use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
-
-/// Slots in the per-process span ring (power of two).
-pub const CAPACITY: usize = 1024;
 
 /// Number of stage tags in the taxonomy.
 pub const STAGES: usize = 10;
@@ -193,55 +190,21 @@ impl Span {
     }
 }
 
-const FIELDS: usize = 7;
-
-struct Slot {
-    /// Seqlock stamp: `2*seq + 1` while a writer owns the slot,
-    /// `2*seq + 2` once the write is complete, 0 = never written.
-    stamp: AtomicU64,
-    fields: [AtomicU64; FIELDS],
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            stamp: AtomicU64::new(0),
-            fields: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-/// Lock-free ring of the most recent retained spans, same seqlock
-/// protocol as `flight::Ring`: `record` never blocks and never
-/// allocates; `snapshot` double-reads each slot's stamp and discards
-/// torn entries. A writer lapped mid-`snapshot` costs a dropped slot,
-/// never a torn one.
-pub struct SpanRing {
-    cursor: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-impl Default for SpanRing {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Lock-free ring of the most recent retained spans: a typed view of
+/// [`crate::ring::Ring`], which owns the slot protocol, with a span as
+/// its seven words.
+#[derive(Default)]
+pub struct SpanRing(crate::ring::Ring<7>);
 
 impl SpanRing {
-    /// An empty ring of [`CAPACITY`] slots.
+    /// An empty ring of [`CAPACITY`](crate::ring::CAPACITY) slots.
     pub fn new() -> SpanRing {
-        SpanRing {
-            cursor: AtomicU64::new(0),
-            slots: (0..CAPACITY).map(|_| Slot::empty()).collect(),
-        }
+        SpanRing::default()
     }
 
     /// Records one span, overwriting the oldest slot once full.
     pub fn record(&self, s: Span) {
-        let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq as usize) % CAPACITY];
-        slot.stamp.store(2 * seq + 1, Ordering::Release);
-        let fields = [
+        self.0.record([
             s.trace_id,
             s.span_id,
             s.parent_span,
@@ -249,49 +212,31 @@ impl SpanRing {
             s.arg,
             s.start_us,
             s.dur_ns,
-        ];
-        for (cell, v) in slot.fields.iter().zip(fields) {
-            cell.store(v, Ordering::Relaxed);
-        }
-        slot.stamp.store(2 * seq + 2, Ordering::Release);
+        ]);
     }
 
     /// Spans ever recorded (retained or since overwritten).
     pub fn recorded(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
+        self.0.recorded()
     }
 
-    /// Consistent copies of every completed slot, oldest first.
+    /// Every retained span, oldest first.
     pub fn snapshot(&self) -> Vec<Span> {
-        let mut out: Vec<(u64, Span)> = Vec::with_capacity(CAPACITY);
-        for slot in self.slots.iter() {
-            let before = slot.stamp.load(Ordering::Acquire);
-            if before == 0 || before % 2 == 1 {
-                continue; // never written, or a writer owns it right now
-            }
-            let mut f = [0u64; FIELDS];
-            for (v, cell) in f.iter_mut().zip(slot.fields.iter()) {
-                *v = cell.load(Ordering::Relaxed);
-            }
-            let after = slot.stamp.load(Ordering::Acquire);
-            if before != after {
-                continue; // torn: a writer lapped us mid-copy
-            }
-            out.push((
-                (before - 2) / 2,
-                Span {
-                    trace_id: f[0],
-                    span_id: f[1],
-                    parent_span: f[2],
-                    stage: f[3] as u16,
-                    arg: f[4],
-                    start_us: f[5],
-                    dur_ns: f[6],
+        self.0
+            .snapshot()
+            .into_iter()
+            .map(
+                |(_, [trace_id, span_id, parent_span, stage, arg, start_us, dur_ns])| Span {
+                    trace_id,
+                    span_id,
+                    parent_span,
+                    stage: stage as u16,
+                    arg,
+                    start_us,
+                    dur_ns,
                 },
-            ));
-        }
-        out.sort_unstable_by_key(|(seq, _)| *seq);
-        out.into_iter().map(|(_, s)| s).collect()
+            )
+            .collect()
     }
 }
 
@@ -819,56 +764,19 @@ mod tests {
     }
 
     #[test]
-    fn ring_wraps_keeping_the_newest() {
+    fn spans_round_trip_through_the_ring() {
         let ring = SpanRing::new();
-        for i in 0..(CAPACITY as u64 + 10) {
-            ring.record(Span {
-                trace_id: 1,
-                span_id: i,
-                ..Span::default()
-            });
-        }
-        let snap = ring.snapshot();
-        assert_eq!(snap.len(), CAPACITY);
-        assert_eq!(snap.first().unwrap().span_id, 10);
-        assert_eq!(snap.last().unwrap().span_id, CAPACITY as u64 + 9);
-    }
-
-    #[test]
-    fn concurrent_ring_writers_never_tear() {
-        let ring = std::sync::Arc::new(SpanRing::new());
-        let threads = 4;
-        let per = 2_000u64;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let ring = std::sync::Arc::clone(&ring);
-                std::thread::spawn(move || {
-                    for i in 0..per {
-                        // Fields encode (t, i) redundantly so a torn
-                        // mix of two writers is detectable.
-                        ring.record(Span {
-                            trace_id: t,
-                            span_id: i,
-                            parent_span: t * 1_000_000 + i,
-                            stage: 1,
-                            arg: t ^ i,
-                            start_us: t,
-                            dur_ns: i,
-                        });
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let snap = ring.snapshot();
-        assert_eq!(snap.len(), CAPACITY);
-        for s in snap {
-            assert_eq!(s.parent_span, s.trace_id * 1_000_000 + s.span_id);
-            assert_eq!(s.arg, s.trace_id ^ s.span_id);
-            assert_eq!(s.start_us, s.trace_id);
-            assert_eq!(s.dur_ns, s.span_id);
-        }
+        let span = Span {
+            trace_id: 1,
+            span_id: 2,
+            parent_span: 3,
+            stage: u16::MAX,
+            arg: 5,
+            start_us: 6,
+            dur_ns: u64::MAX,
+        };
+        ring.record(span);
+        assert_eq!(ring.snapshot(), vec![span]);
+        assert_eq!(ring.recorded(), 1);
     }
 }

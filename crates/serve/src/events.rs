@@ -211,9 +211,8 @@ fn render_dump(recorded: u64, events: &[Event]) -> String {
                 }
                 out.push('}');
             }
-            // A lapped-slot torn write (see the ring docs) or a dump read
-            // by an older binary can yield an unknown code; keep the raw
-            // words so nothing is silently lost.
+            // A code this build does not name keeps its raw words, so
+            // nothing is silently lost.
             None => {
                 let _ = write!(
                     out,

@@ -3,7 +3,7 @@
 //!
 //! - `cargo xtask lint [--json <path>] [--list-passes]` — a thin driver
 //!   over the `afforest-analysis` battery (see DESIGN.md §13): the exact
-//!   lexer, the eight passes, and the structured diagnostics all live in
+//!   lexer, the nine passes, and the structured diagnostics all live in
 //!   `crates/analysis`; this binary only loads the workspace, runs the
 //!   battery, prints findings, and optionally writes the JSON report.
 //! - `cargo xtask ci` — the full gate: the analysis battery (JSON report
