@@ -7,7 +7,7 @@ use afforest_baselines::{
     bfs_cc, dobfs_cc, label_prop, parallel_uf, rem_cc, shiloach_vishkin, shiloach_vishkin_1982,
     sv_edgelist, union_by_rank_cc, union_by_size_cc, union_find::union_find_cc,
 };
-use afforest_core::{afforest, AfforestConfig, ComponentLabels};
+use afforest_core::{afforest, AfforestConfig, ComponentLabels, IncrementalCc};
 use afforest_graph::{CsrGraph, Node};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -423,7 +423,6 @@ pub mod bench {
 /// does not read.
 pub mod serve {
     use super::*;
-    use afforest_core::IncrementalCc;
     use afforest_serve::config::DEFAULT_MAX_TENANTS;
     use afforest_serve::wal;
     use afforest_serve::{
@@ -507,61 +506,53 @@ pub mod serve {
             .build()
             .map_err(|e| format!("invalid configuration: {e}"))?;
         let vertices: usize = args.flag_parsed("vertices", 0usize)?;
-        let (path, n, edges) = if args.num_positionals() == 0 && vertices > 0 {
-            ("(empty)".to_string(), vertices, Vec::new())
+        // The epoch-0 forest is Afforest's labeling of the graph; the
+        // CSR is dropped before serving.
+        let (path, cc, num_edges) = if args.num_positionals() == 0 && vertices > 0 {
+            ("(empty)".to_string(), IncrementalCc::new(vertices), 0)
         } else {
             let path = args.positional(0, "graph")?;
             let g = load_graph(path)?;
-            let n = g.num_vertices();
-            (path.to_string(), n, g.collect_edges())
+            (
+                path.to_string(),
+                IncrementalCc::from_graph(&g),
+                g.num_edges(),
+            )
         };
-        let server = match args.flag("wal-dir") {
-            Some(dir) => {
-                let root = Path::new(dir);
-                // An existing default-tenant log means a previous
-                // incarnation: replay it (on top of the graph's edges)
-                // before serving, so acked inserts survive the restart.
-                // Other tenants' logs are replayed by the server itself.
-                let default_dir = wal::default_wal_dir(root);
-                let cc = if wal::exists(&default_dir) {
-                    let rec = wal::recover(&default_dir, &edges)
-                        .map_err(|e| format!("recover {}: {e}", default_dir.display()))?;
-                    if rec.vertices != n {
-                        return Err(format!(
-                            "wal at {} holds {} vertices, graph has {n}",
-                            default_dir.display(),
-                            rec.vertices
-                        ));
-                    }
-                    println!(
-                        "recovered {} logged batch(es), {} edge(s){}{}",
-                        rec.batches,
-                        rec.edges,
-                        if rec.from_snapshot {
-                            " (from snapshot)"
-                        } else {
-                            ""
-                        },
-                        torn_note(rec.truncated)
-                    );
-                    rec.cc
-                } else {
-                    let mut cc = IncrementalCc::new(n);
-                    cc.insert_batch(&edges);
-                    cc
-                };
-                Server::from_cc(cc, config)
+        let n = cc.len();
+        // An existing default-tenant log means a previous incarnation:
+        // replay it onto the seed forest before serving, so acked inserts
+        // survive the restart. Other tenants' logs are replayed by the
+        // server itself.
+        let default_dir = args
+            .flag("wal-dir")
+            .map(|dir| wal::default_wal_dir(Path::new(dir)));
+        let cc = match default_dir {
+            Some(default_dir) if wal::exists(&default_dir) => {
+                let rec = wal::recover(&default_dir, Some(cc))
+                    .map_err(|e| format!("recover {}: {e}", default_dir.display()))?;
+                println!(
+                    "recovered {} logged batch(es), {} edge(s){}{}",
+                    rec.batches,
+                    rec.edges,
+                    if rec.from_snapshot {
+                        " (from snapshot)"
+                    } else {
+                        ""
+                    },
+                    torn_note(rec.truncated)
+                );
+                rec.cc
             }
-            None => Server::new(n, &edges, config),
-        }
-        .map_err(|e| format!("start server: {e}"))?;
+            _ => cc,
+        };
+        let server = Server::from_cc(cc, config).map_err(|e| format!("start server: {e}"))?;
         let restored = server.tenants().len();
         if restored > 1 {
             println!("restored {} persisted tenant(s)", restored - 1);
         }
         let banner = format!(
-            "serving {path}: {n} vertices, {} edges ({} components)",
-            edges.len(),
+            "serving {path}: {n} vertices, {num_edges} edges ({} components)",
             server.snapshot().num_components()
         );
         serve_until_shutdown(&server, args, &banner, args.flag("trace-out"), |server| {
@@ -698,17 +689,21 @@ pub mod serve {
         let g = load_graph(path)?;
         let n = g.num_vertices();
         let edges = g.collect_edges();
+        drop(g);
         let plan = ShardPlan::new(n, shards);
         let routed = plan.split_batch(&edges);
-        let cluster = afforest_shard::LocalCluster::new(&plan, &routed.per_shard, &config)
-            .map_err(|e| format!("start shards: {e}"))?;
-        let boundary = boundary_store(n, args.flag("wal-dir").map(Path::new))?;
-        boundary.observe_batch(&routed.cut);
         let banner = format!(
             "serving {path} across {shards} shard(s): {n} vertices, {} edges ({} cut)",
             edges.len(),
             routed.cut.len()
         );
+        drop(edges);
+        let cluster = afforest_shard::LocalCluster::new(&plan, &routed.per_shard, &config)
+            .map_err(|e| format!("start shards: {e}"))?;
+        let boundary = boundary_store(n, args.flag("wal-dir").map(Path::new))?;
+        boundary.observe_batch(&routed.cut);
+        // The shards and the boundary store hold their own copies now.
+        drop(routed);
         let router = router(args, plan, boundary, cluster)?;
         serve_until_shutdown(&router, args, &banner, None, finish_router)
     }
@@ -1001,17 +996,9 @@ pub mod recover {
         if !wal::exists(&default_dir) {
             return Err(format!("no write-ahead log at {}", root.display()));
         }
-        let g = load_graph(path)?;
-        let mut rec = wal::recover(&default_dir, &g.collect_edges())
+        let seed = IncrementalCc::from_graph(&load_graph(path)?);
+        let mut rec = wal::recover(&default_dir, Some(seed))
             .map_err(|e| format!("recover {}: {e}", default_dir.display()))?;
-        if rec.vertices != g.num_vertices() {
-            return Err(format!(
-                "wal at {} holds {} vertices, graph has {}",
-                default_dir.display(),
-                rec.vertices,
-                g.num_vertices()
-            ));
-        }
         let labels = rec.cc.labels();
 
         let mut out = String::new();
@@ -1047,7 +1034,7 @@ pub mod recover {
             if name == afforest_serve::DEFAULT_TENANT {
                 continue;
             }
-            let mut trec = wal::recover(&tdir, &[])
+            let mut trec = wal::recover(&tdir, None)
                 .map_err(|e| format!("recover tenant {name} at {}: {e}", tdir.display()))?;
             let tlabels = trec.cc.labels();
             let _ = writeln!(
@@ -1197,12 +1184,12 @@ pub mod loadgen {
                 if traced {
                     return Err("--traced needs a remote server (<host:port>)".into());
                 }
-                let g = load_graph(path)?;
+                let seed = IncrementalCc::from_graph(&load_graph(path)?);
                 let config = ServeConfig::builder()
                     .build()
                     .map_err(|e| format!("invalid configuration: {e}"))?;
-                let server = Server::new(g.num_vertices(), &g.collect_edges(), config)
-                    .map_err(|e| format!("start server: {e}"))?;
+                let server =
+                    Server::from_cc(seed, config).map_err(|e| format!("start server: {e}"))?;
                 run_load(&cfg, |_| Ok(&server)).map_err(|e| format!("loadgen: {e}"))?
             }
             // Client mode: one TCP connection per workload thread; a

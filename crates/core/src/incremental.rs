@@ -9,11 +9,12 @@
 //! connectivity), the "subgraph batch" idea of Section III-B taken to its
 //! streaming limit.
 
+use crate::afforest::{afforest, AfforestConfig};
 use crate::compress::{compress, compress_all};
 use crate::labels::ComponentLabels;
 use crate::link::{link, link_hook};
 use crate::parents::ParentArray;
-use afforest_graph::{Edge, Node};
+use afforest_graph::{CsrGraph, Edge, Node};
 use rayon::prelude::*;
 
 /// A dynamic (insert-only) connectivity structure over `n` vertices.
@@ -40,11 +41,41 @@ impl IncrementalCc {
     /// Creates the structure with `n` isolated vertices. Auto-compresses
     /// every `n` insertions by default.
     pub fn new(n: usize) -> Self {
+        Self::over(ParentArray::new(n))
+    }
+
+    /// Wraps a parent array that satisfies Invariant 1, with the default
+    /// every-`n`-insertions compress threshold.
+    fn over(pi: ParentArray) -> Self {
+        let n = pi.len();
         Self {
-            pi: ParentArray::new(n),
+            pi,
             dirty: 0,
             compress_threshold: Some(n.max(64)),
         }
+    }
+
+    /// Starts the structure from `g`'s components: [`afforest`] with the
+    /// default [`AfforestConfig`] solves `g`, and its labeling becomes
+    /// the parent array. That labeling is fully compressed with every
+    /// root its component's minimum, which is exactly the array
+    /// [`IncrementalCc::new`] plus [`IncrementalCc::insert_batch`] over
+    /// every edge of `g` leaves behind, at the cost of a solve that skips
+    /// most edges instead of a link per edge.
+    ///
+    /// ```
+    /// use afforest_core::incremental::IncrementalCc;
+    /// use afforest_graph::GraphBuilder;
+    ///
+    /// let g = GraphBuilder::from_edges(5, &[(0, 1), (3, 4)]).build();
+    /// let mut cc = IncrementalCc::from_graph(&g);
+    /// assert_eq!(cc.parents_snapshot(), vec![0, 0, 2, 3, 3]);
+    /// cc.insert(1, 4);
+    /// assert_eq!(cc.num_components(), 2);
+    /// ```
+    pub fn from_graph(g: &CsrGraph) -> Self {
+        let labels = afforest(g, &AfforestConfig::default());
+        Self::over(ParentArray::from_snapshot(labels.as_slice()))
     }
 
     /// Overrides the auto-compression threshold (`None` disables it).
@@ -73,12 +104,7 @@ impl IncrementalCc {
                 parent: parents[v],
             });
         }
-        let n = parents.len();
-        Ok(Self {
-            pi: ParentArray::from_snapshot(&parents),
-            dirty: 0,
-            compress_threshold: Some(n.max(64)),
-        })
+        Ok(Self::over(ParentArray::from_snapshot(&parents)))
     }
 
     /// Copies the current parent array (the WAL snapshot payload).

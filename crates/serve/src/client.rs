@@ -7,8 +7,8 @@
 //! version (v1 when scoped to the `default` tenant the legacy way, v2
 //! when a tenant is set), carries the retry policy the load generator
 //! introduced in PR 4 (capped exponential backoff with jitter, transport
-//! reopen on disconnect), and exposes one typed method per request so
-//! callers never pattern-match payload bytes again.
+//! reopen after a timeout or a disconnect), and exposes one typed method
+//! per request so callers never pattern-match payload bytes again.
 //!
 //! ```no_run
 //! use afforest_serve::{Client, TenantId};
@@ -107,6 +107,21 @@ pub fn is_disconnect(e: &WireError) -> bool {
                 | ErrorKind::WriteZero
         ),
     }
+}
+
+/// A call outcome after which the stream may still deliver the answer
+/// late: the read timed out, possibly partway through the response
+/// frame. The next exchange on that stream would read this answer (or
+/// the rest of it) as its own, so the stream must be dropped and
+/// redialed, as after a disconnect.
+pub(crate) fn is_timeout(e: &WireError) -> bool {
+    matches!(
+        e,
+        WireError::Io(io) if matches!(
+            io.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        )
+    )
 }
 
 /// `base · 2^(attempt-1)`, jittered uniformly over ±50% and capped at
@@ -227,23 +242,19 @@ impl Client {
     }
 
     /// [`Client::call`] under the retry policy: `Overloaded` answers,
-    /// transport timeouts, and disconnects (the connection is reopened)
-    /// are re-attempted with capped jittered backoff. `Ok(None)` means
-    /// the request was abandoned after exhausting the policy; hard
-    /// failures — including a reconnect that cannot be established —
-    /// still propagate.
+    /// transport timeouts, and disconnects are re-attempted with capped
+    /// jittered backoff. A timeout or a disconnect reopens the
+    /// connection at once, so a late answer never reaches a later call.
+    /// `Ok(None)` means the request was abandoned after exhausting the
+    /// policy; hard failures — including a reconnect that cannot be
+    /// established — still propagate.
     pub fn call_retrying(&mut self, req: &Request) -> Result<Option<Response>, WireError> {
         let mut attempt = 0u32;
         loop {
             match self.call(req) {
                 Ok(Response::Overloaded { queue_depth }) => self.last_shed_depth = queue_depth,
                 Ok(resp) => return Ok(Some(resp)),
-                Err(WireError::Io(e))
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) => {}
-                Err(e) if is_disconnect(&e) => self.reconnect()?,
+                Err(e) if is_timeout(&e) || is_disconnect(&e) => self.reconnect()?,
                 Err(e) => return Err(e),
             }
             if attempt >= self.retry.max_retries {
@@ -544,6 +555,48 @@ mod tests {
             "flush returned before the edge was visible"
         );
         assert_eq!(stats.unwrap().edges_ingested, 1);
+    }
+
+    #[test]
+    fn a_late_answer_never_reaches_the_next_call() {
+        // A fake server that answers `Component(u)` with `u`, one thread
+        // per connection, except that the first connection answers its
+        // first request only after the client's read timeout. Its threads
+        // are left detached, so a client that keeps reading the stalled
+        // stream fails the test instead of hanging it.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::spawn(move || {
+            for (i, stream) in listener.incoming().enumerate() {
+                let Ok(mut stream) = stream else { return };
+                std::thread::spawn(move || {
+                    let mut stall = i == 0;
+                    while let Ok(Some(payload)) = protocol::read_frame(&mut stream) {
+                        let Ok(Request::Component(u)) = protocol::decode_request(&payload) else {
+                            return;
+                        };
+                        if std::mem::take(&mut stall) {
+                            std::thread::sleep(Duration::from_millis(250));
+                        }
+                        let answer = protocol::encode_response(&Response::Component(u));
+                        if protocol::write_frame(&mut stream, &answer).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        let mut client = Client::connect(addr)
+            .unwrap()
+            .with_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap()
+            .with_retry(RetryPolicy {
+                max_retries: 3,
+                backoff: Duration::from_millis(1),
+            });
+        for u in 1..=3 {
+            assert_eq!(client.component(u).unwrap(), u, "answer to Component({u})");
+        }
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //! out, and calls that die with the connection (a torn frame or a reset —
 //! routine against a `--faults` server) are retried with capped
 //! exponential backoff plus jitter (up to [`LoadgenConfig::max_retries`]
-//! attempts, reopening the transport after a disconnect), and each class
+//! attempts, reopening the transport after a timeout or a disconnect), and each class
 //! is reported separately from protocol errors — a load-shedding or
 //! chaos-injected server is degraded, not broken, and the report keeps
 //! the distinctions legible.
 
-use crate::client::{backoff, is_disconnect, Client};
+use crate::client::{backoff, is_disconnect, is_timeout, Client};
 use crate::protocol::{Request, Response, WireError};
 use crate::server::Server;
 use crate::tenant::TenantId;
@@ -126,8 +126,8 @@ pub struct LoadgenReport {
     pub shed: u64,
     /// Calls that timed out at the transport (each attempt counts).
     pub timeouts: u64,
-    /// Connections that died mid-call and were reopened (each attempt
-    /// counts) — torn frames and resets land here.
+    /// Connections reopened because a call timed out or died mid-call
+    /// (each attempt counts) — timeouts, torn frames and resets land here.
     pub reconnects: u64,
     /// Backed-off re-attempts performed after a shed, timeout, or
     /// disconnect.
@@ -441,8 +441,8 @@ where
 }
 
 /// Issues one request, retrying shed, timed-out, and disconnected
-/// attempts with capped exponential backoff + jitter (a disconnect
-/// reopens the transport first — the request's fate on the server is
+/// attempts with capped exponential backoff + jitter (a timeout or a
+/// disconnect reopens the transport first — the request's fate on the server is
 /// unknown, but edge insertion is idempotent for connectivity, so a
 /// blind re-send is safe). Returns `None` if every attempt failed (the
 /// request is abandoned, not an error); hard transport failures —
@@ -465,15 +465,10 @@ fn call_with_retry<T: Transport>(
         match outcome {
             Ok(Response::Overloaded { .. }) => tally.shed += 1,
             Ok(resp) => return Ok(Some(resp)),
-            Err(WireError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                tally.timeouts += 1;
-            }
-            Err(e) if is_disconnect(&e) => {
+            // A timed-out stream may still deliver this answer late, to
+            // the next request: reopen it as after a disconnect.
+            Err(e) if is_timeout(&e) || is_disconnect(&e) => {
+                tally.timeouts += u64::from(is_timeout(&e));
                 tally.reconnects += 1;
                 *transport = reconnect()?;
             }

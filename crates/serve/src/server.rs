@@ -102,10 +102,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds the `default` tenant's epoch-0 snapshot from `edges`
-    /// synchronously, then starts its writer thread. When
-    /// `config.wal_root` is set, persisted non-default tenants found
-    /// under it are recovered and started too.
+    /// Builds the `default` tenant's epoch-0 forest by linking `edges` as
+    /// one insert batch, then serves it as [`Server::from_cc`] does. For
+    /// a seed graph already held as a CSR, `Server::from_cc` over
+    /// [`IncrementalCc::from_graph`] builds the same parent array from
+    /// Afforest's labeling without materializing the edge list.
     pub fn new(n: usize, edges: &[(Node, Node)], config: ServeConfig) -> Result<Self, ServeError> {
         Self::from_cc(
             {
@@ -117,11 +118,14 @@ impl Server {
         )
     }
 
-    /// Starts a server over an already-built structure for the `default`
-    /// tenant (the recovery path: `wal::recover` yields the
-    /// `IncrementalCc`, this serves it). The default tenant's existing
+    /// Starts a server whose `default` tenant serves `cc` as epoch 0 and
+    /// starts its writer thread. On a cold start `cc` is the seed
+    /// graph's forest, [`IncrementalCc::from_graph`]: Afforest's
+    /// labeling of that graph. On a restart it is what `wal::recover`
+    /// replayed onto that seed forest. The default tenant's existing
     /// log — if any — is appended to, not replayed: replay is the
-    /// caller's explicit step.
+    /// caller's explicit step. When `config.wal_root` is set, persisted
+    /// non-default tenants found under it are recovered and started too.
     pub fn from_cc(cc: IncrementalCc, config: ServeConfig) -> Result<Self, ServeError> {
         let backstop = Arc::new(Backstop::new(config.max_total_queue_depth));
         // The builder validates max_tenants >= 1, but ServeConfig's
@@ -182,7 +186,7 @@ impl Server {
 
     /// Recovers one persisted non-default tenant and admits it.
     fn recover_tenant(&self, tenant: &TenantId, dir: &std::path::Path) -> Result<(), ServeError> {
-        let rec = wal::recover(dir, &[])?;
+        let rec = wal::recover(dir, None)?;
         let wal = Wal::open(dir, rec.vertices, self.config.wal_snapshot_every)?;
         let ordinal = self.registry.next_ordinal();
         let vertices = rec.vertices as u64;
@@ -830,7 +834,7 @@ mod tests {
     fn wal_backed_server_survives_restart() {
         let dir = std::env::temp_dir().join(format!("afforest-server-wal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let seed: Vec<(Node, Node)> = vec![(0, 1)];
+        let seed = afforest_graph::GraphBuilder::from_edges(8, &[(0, 1)]).build();
         let wal_config = || {
             ServeConfig::builder()
                 .policy(quick_policy())
@@ -839,13 +843,14 @@ mod tests {
                 .unwrap()
         };
         {
-            let server = Server::new(8, &seed, wal_config()).unwrap();
+            let server = Server::from_cc(IncrementalCc::from_graph(&seed), wal_config()).unwrap();
             server.handle(&Request::InsertEdges(vec![(1, 2), (4, 5)]));
             assert!(server.flush(Duration::from_secs(5)));
             // Server drops here — simulating an orderly exit; a kill is
             // equivalent because the append preceded the apply.
         }
-        let rec = crate::wal::recover(&wal::default_wal_dir(&dir), &seed).unwrap();
+        let seed = Some(IncrementalCc::from_graph(&seed));
+        let rec = crate::wal::recover(&wal::default_wal_dir(&dir), seed).unwrap();
         let server = Server::from_cc(rec.cc, wal_config()).unwrap();
         assert_eq!(
             server.handle(&Request::Connected(0, 2)),
@@ -874,7 +879,7 @@ mod tests {
             wal.append(&[(0, 1), (1, 2)]).unwrap();
         }
         assert_eq!(wal::default_wal_dir(&dir), dir);
-        let rec = crate::wal::recover(&dir, &[]).unwrap();
+        let rec = crate::wal::recover(&dir, None).unwrap();
         {
             let server = Server::from_cc(
                 rec.cc,
@@ -890,7 +895,7 @@ mod tests {
         }
         // Everything — legacy seed and new appends — recovers from the
         // root-level log.
-        let rec = crate::wal::recover(&dir, &[]).unwrap();
+        let rec = crate::wal::recover(&dir, None).unwrap();
         assert!(!dir.join("default").exists());
         let server = Server::from_cc(rec.cc, quick_config()).unwrap();
         assert_eq!(

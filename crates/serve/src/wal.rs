@@ -5,9 +5,10 @@
 //! the batch that had not yet reached the OS (the classic WAL contract —
 //! an acked write is a logged write). Records are length-prefixed and
 //! checksummed; [`recover`] replays a possibly-truncated or corrupted log
-//! into a fresh [`IncrementalCc`], stopping (and truncating the file) at
-//! the first bad record, so the recovered state is always a prefix of the
-//! committed history — never a panic, never a half-applied record.
+//! onto a seed forest (the initial graph's [`IncrementalCc`], or the last
+//! parent snapshot), stopping (and truncating the file) at the first bad
+//! record, so the recovered state is always a prefix of the committed
+//! history — never a panic, never a half-applied record.
 //!
 //! Replaying a long history on every restart would make recovery O(total
 //! writes), so the log is periodically **compacted**, on the writer
@@ -377,23 +378,37 @@ pub struct Recovery {
     pub truncated: bool,
 }
 
-/// Replays the WAL directory into a fresh [`IncrementalCc`].
+/// Replays the WAL directory onto a seed forest.
 ///
-/// The base state is the parent snapshot if one exists, otherwise an
-/// empty structure seeded with `seed_edges` (the initial graph, which is
-/// *not* logged — only ingested batches are). Log records are then
-/// replayed in order; the first bad record (truncated, checksum mismatch,
-/// malformed payload) ends the replay and the file is truncated there, so
-/// a recovered-then-reopened log is always internally consistent.
+/// The base state is the parent snapshot if one exists, otherwise
+/// `seed`: the forest of the initial graph, which is *not* logged — only
+/// ingested batches are. A server seeds it with
+/// [`IncrementalCc::from_graph`], Afforest's labeling of that graph;
+/// `None` stands for the log header's `n` singletons. Log records are
+/// then replayed in order; the first bad record (truncated, checksum
+/// mismatch, malformed payload) ends the replay and the file is
+/// truncated there, so a recovered-then-reopened log is always
+/// internally consistent. A seed over another vertex count than the
+/// header's is [`WalError::VertexMismatch`], snapshot or not.
 ///
 /// Total function over file contents: any byte string in the log yields
 /// either `Ok` (with some prefix replayed) or a typed [`WalError`] for an
 /// unusable header/snapshot — never a panic.
-pub fn recover(dir: &Path, seed_edges: &[(Node, Node)]) -> Result<Recovery, WalError> {
+pub fn recover(dir: &Path, seed: Option<IncrementalCc>) -> Result<Recovery, WalError> {
     let _span = afforest_obs::span!("wal-recover");
     let path = dir.join(LOG_FILE);
     let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
     let (n, version) = read_header(&mut file)?;
+    // A seed over another universe means the caller is replaying the
+    // wrong graph's WAL: a typed error, not a panic.
+    if let Some(seed) = &seed {
+        if seed.len() != n {
+            return Err(WalError::VertexMismatch {
+                wal: n,
+                expected: seed.len(),
+            });
+        }
+    }
 
     let snapshot_path = dir.join(SNAPSHOT_FILE);
     let (mut cc, from_snapshot) = if snapshot_path.exists() {
@@ -406,20 +421,7 @@ pub fn recover(dir: &Path, seed_edges: &[(Node, Node)]) -> Result<Recovery, WalE
         }
         (IncrementalCc::from_parents(parents)?, true)
     } else {
-        // Seed edges outside the log's universe mean the caller is
-        // replaying the wrong graph's WAL: a typed error, not a panic.
-        if let Some(&(u, v)) = seed_edges
-            .iter()
-            .find(|&&(u, v)| u as usize >= n || v as usize >= n)
-        {
-            return Err(WalError::VertexMismatch {
-                wal: n,
-                expected: u.max(v) as usize + 1,
-            });
-        }
-        let mut cc = IncrementalCc::new(n);
-        cc.insert_batch(seed_edges);
-        (cc, false)
+        (seed.unwrap_or_else(|| IncrementalCc::new(n)), false)
     };
 
     let replayed = replay(&mut file, n, version, |batch| {
@@ -797,7 +799,7 @@ mod tests {
 
     /// Recovers `dir` and checks it against replaying `batches` in full.
     fn assert_recovers(dir: &Path, n: usize, batches: &[Vec<(Node, Node)>]) -> Recovery {
-        let mut rec = recover(dir, &[]).unwrap();
+        let mut rec = recover(dir, None).unwrap();
         let mut oracle = IncrementalCc::new(n);
         for b in batches {
             oracle.insert_batch(b);
@@ -827,7 +829,7 @@ mod tests {
                 assert_eq!(wal.append(b).unwrap(), AppendOutcome::Logged);
             }
         }
-        let mut rec = recover(&dir, &[]).unwrap();
+        let mut rec = recover(&dir, None).unwrap();
         assert_eq!(rec.vertices, 10);
         assert_eq!(rec.batches, 3);
         assert_eq!(rec.edges, 5);
@@ -849,9 +851,11 @@ mod tests {
             let mut wal = Wal::open(&dir, 6, 0).unwrap();
             wal.append(&[(2, 3)]).unwrap();
         }
-        // Initial graph (0-1, 1-2) is not logged; recovery re-derives it
-        // from the seed edges.
-        let rec = recover(&dir, &[(0, 1), (1, 2)]).unwrap();
+        // Initial graph (0-1, 1-2) is not logged; recovery replays onto
+        // its seed forest.
+        let mut seed = IncrementalCc::new(6);
+        seed.insert_batch(&[(0, 1), (1, 2)]);
+        let rec = recover(&dir, Some(seed)).unwrap();
         assert!(rec.cc.connected(0, 3));
         assert!(!rec.cc.connected(0, 5));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -868,7 +872,7 @@ mod tests {
             let mut wal = Wal::open(&dir, 8, 0).unwrap();
             wal.append(&[(1, 2)]).unwrap();
         }
-        let rec = recover(&dir, &[]).unwrap();
+        let rec = recover(&dir, None).unwrap();
         assert_eq!(rec.batches, 2);
         assert!(rec.cc.connected(0, 2));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -892,7 +896,9 @@ mod tests {
     fn recover_rejects_out_of_universe_seed_edges() {
         let dir = tempdir("badseed");
         drop(Wal::open(&dir, 4, 0).unwrap());
-        match recover(&dir, &[(0, 9)]) {
+        let mut seed = IncrementalCc::new(10);
+        seed.insert(0, 9);
+        match recover(&dir, Some(seed)) {
             Err(WalError::VertexMismatch {
                 wal: 4,
                 expected: 10,
@@ -920,7 +926,7 @@ mod tests {
             .set_len(len - 3)
             .unwrap();
 
-        let rec = recover(&dir, &[]).unwrap();
+        let rec = recover(&dir, None).unwrap();
         assert_eq!(rec.batches, 1);
         assert!(rec.truncated);
         assert!(rec.cc.connected(0, 1));
@@ -931,7 +937,7 @@ mod tests {
             let mut wal = Wal::open(&dir, 8, 0).unwrap();
             wal.append(&[(4, 5)]).unwrap();
         }
-        let rec = recover(&dir, &[]).unwrap();
+        let rec = recover(&dir, None).unwrap();
         assert_eq!(rec.batches, 2);
         assert!(rec.cc.connected(4, 5));
         assert!(!rec.truncated);
@@ -954,7 +960,7 @@ mod tests {
         }
         // After compacting at batch 2, the log holds only batch 3.
         assert!(dir.join(SNAPSHOT_FILE).exists());
-        let mut rec = recover(&dir, &[]).unwrap();
+        let mut rec = recover(&dir, None).unwrap();
         assert!(rec.from_snapshot);
         assert_eq!(rec.batches, 1);
         let mut oracle = IncrementalCc::new(16);
@@ -978,7 +984,7 @@ mod tests {
         let mid = bytes.len() - 12;
         bytes[mid] ^= 0x40;
         std::fs::write(&snap, &bytes).unwrap();
-        match recover(&dir, &[]) {
+        match recover(&dir, None) {
             Err(WalError::Corrupt(why)) => assert!(why.contains("checksum"), "{why}"),
             other => panic!("expected Corrupt, got {:?}", other.err()),
         }
@@ -1000,7 +1006,7 @@ mod tests {
         let mut bytes = std::fs::read(&snap).unwrap();
         bytes[8..16].copy_from_slice(&(1u64 << 33).to_le_bytes());
         std::fs::write(&snap, &bytes).unwrap();
-        match recover(&dir, &[]) {
+        match recover(&dir, None) {
             Err(WalError::Corrupt(why)) => assert!(why.contains("exceeds the file"), "{why}"),
             other => panic!("expected Corrupt, got {:?}", other.err()),
         }
@@ -1244,7 +1250,7 @@ mod tests {
         for (head, records) in [(&v1, &v2), (&v2, &v1)] {
             let mixed = [&head[..header], &records[header..]].concat();
             std::fs::write(dir.join(LOG_FILE), &mixed).unwrap();
-            let rec = recover(&dir, &[]).unwrap();
+            let rec = recover(&dir, None).unwrap();
             assert_eq!((rec.batches, rec.truncated), (0, true));
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1276,7 +1282,7 @@ mod tests {
             .map(|(_, b)| b)
             .collect();
 
-        let mut rec = recover(&dir, &[]).unwrap();
+        let mut rec = recover(&dir, None).unwrap();
         assert!(rec.truncated);
         assert_eq!(rec.batches as usize, survivors.len());
         let mut oracle = IncrementalCc::new(64);
@@ -1305,7 +1311,7 @@ mod tests {
         assert!(faults.injected().wal_drops > 0);
         assert!(!logged.is_empty());
 
-        let mut rec = recover(&dir, &[]).unwrap();
+        let mut rec = recover(&dir, None).unwrap();
         // Drops leave no trace on disk: the log is clean, just sparser.
         assert!(!rec.truncated);
         assert_eq!(rec.batches as usize, logged.len());
@@ -1320,7 +1326,7 @@ mod tests {
     #[test]
     fn recover_missing_dir_is_io_error() {
         let dir = tempdir("missing");
-        match recover(&dir, &[]) {
+        match recover(&dir, None) {
             Err(WalError::Io(_)) => {}
             other => panic!("expected Io, got {:?}", other.err()),
         }

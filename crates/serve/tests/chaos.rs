@@ -3,6 +3,7 @@
 //! — with a WAL underneath, must (a) keep making progress, (b) never
 //! panic, and (c) recover to exactly the state it served.
 
+use afforest_core::IncrementalCc;
 use afforest_serve::protocol::call;
 use afforest_serve::wal::{self, recover};
 use afforest_serve::Endpoint;
@@ -105,7 +106,9 @@ fn torn_frames_and_slow_applies_recover_equivalently() {
         Response::NumComponents(c) => c,
         other => panic!("expected NumComponents, got {other:?}"),
     };
-    let rec = recover(&wal::default_wal_dir(&dir), &seed_edges).expect("recover");
+    let mut seed = IncrementalCc::new(n);
+    seed.insert_batch(&seed_edges);
+    let rec = recover(&wal::default_wal_dir(&dir), Some(seed)).expect("recover");
     assert!(
         rec.from_snapshot,
         "compaction never fired (snapshot_every=4)"

@@ -2,6 +2,7 @@
 //! property, cross-tenant isolation, and crash recovery over a
 //! multi-tenant WAL tree with a torn log.
 
+use afforest_core::IncrementalCc;
 use afforest_serve::protocol::{
     decode_request_any, decode_response, decode_response_v2, encode_request, encode_request_v2,
     encode_response, encode_response_v2, StatsReport, WireVersion,
@@ -289,7 +290,9 @@ fn torn_tenant_wal_recovers_to_a_prefix_and_keeps_serving() {
 
     // Second life: recover the default tenant explicitly; registered
     // tenants come back automatically from the WAL tree.
-    let rec = recover(&wal::default_wal_dir(&dir), &seed).expect("recover default");
+    let mut seed_forest = IncrementalCc::new(n);
+    seed_forest.insert_batch(&seed);
+    let rec = recover(&wal::default_wal_dir(&dir), Some(seed_forest)).expect("recover default");
     assert!(!rec.truncated, "default's log was not torn");
     let server = Server::from_cc(rec.cc, config).expect("restart server");
     assert_eq!(server.tenants(), vec!["acme".to_string(), "default".into()]);

@@ -79,7 +79,7 @@ proptest! {
         }
         std::fs::write(dir.join(LOG_FILE), &corrupted).unwrap();
 
-        let mut rec = recover(&dir, &[]).expect("recover over flipped bytes");
+        let mut rec = recover(&dir, None).expect("recover over flipped bytes");
         let k = rec.batches as usize;
         prop_assert!(k <= batches.len());
         prop_assert!(rec.cc.labels().equivalent(&oracle_labels(n, &batches, k)),
@@ -87,7 +87,7 @@ proptest! {
 
         // Recovery truncated the bad tail: a second recovery is clean and
         // idempotent.
-        let again = recover(&dir, &[]).expect("second recover");
+        let again = recover(&dir, None).expect("second recover");
         prop_assert!(!again.truncated);
         prop_assert_eq!(again.batches as usize, k);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -105,7 +105,7 @@ proptest! {
         let keep = HEADER_LEN + cut % (bytes.len() - HEADER_LEN + 1);
         std::fs::write(dir.join(LOG_FILE), &bytes[..keep]).unwrap();
 
-        let mut rec = recover(&dir, &[]).expect("recover over truncated log");
+        let mut rec = recover(&dir, None).expect("recover over truncated log");
         let k = rec.batches as usize;
         prop_assert!(k <= batches.len());
         prop_assert!(rec.cc.labels().equivalent(&oracle_labels(n, &batches, k)));
@@ -137,7 +137,7 @@ proptest! {
         };
         std::fs::write(dir.join(LOG_FILE), &corrupted).unwrap();
         // Ok or Err both acceptable; the property is totality.
-        let _ = recover(&dir, &[]);
+        let _ = recover(&dir, None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -46,18 +46,22 @@ impl LocalCluster {
             let tenant = TenantId::new(&shard_tenant_name(k)).map_err(|_| ServeError::Spawn {
                 what: "shard tenant id",
             })?;
+            // A shard's seed is an edge list, not a CSR: link it as one
+            // batch, and replay any log onto that forest.
+            let mut cc = IncrementalCc::new(n_k);
+            cc.insert_batch(seed);
             let (cc, shard_wal) = match &config.wal_root {
                 Some(root) => {
                     let dir = root.join(shard_tenant_name(k));
                     let cc = if wal::exists(&dir) {
-                        wal::recover(&dir, seed)?.cc
+                        wal::recover(&dir, Some(cc))?.cc
                     } else {
-                        seeded_cc(n_k, seed)
+                        cc
                     };
                     let w = Wal::open(&dir, n_k, config.wal_snapshot_every)?;
                     (cc, Some(w))
                 }
-                None => (seeded_cc(n_k, seed), None),
+                None => (cc, None),
             };
             engines.push(Arc::new(Engine::standalone(tenant, cc, config, shard_wal)?));
         }
@@ -73,12 +77,6 @@ impl LocalCluster {
 /// The tenant (and WAL directory) name for shard `k`: `shard-<k>`.
 pub fn shard_tenant_name(k: usize) -> String {
     format!("shard-{k}")
-}
-
-fn seeded_cc(n: usize, seed: &[(Node, Node)]) -> IncrementalCc {
-    let mut cc = IncrementalCc::new(n);
-    cc.insert_batch(seed);
-    cc
 }
 
 impl ShardBackend for LocalCluster {

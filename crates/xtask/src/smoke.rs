@@ -2,7 +2,8 @@
 //!
 //! Exercises the full binary surface end to end, the way a deployment
 //! would: generate a graph with the CLI, start `afforest serve` on an
-//! ephemeral loopback port with the metrics sidecar, drive a small mixed
+//! ephemeral loopback port with the metrics sidecar, require the fresh
+//! server's component count to equal `afforest cc`'s, drive a small mixed
 //! read/write workload with `afforest loadgen`, assert zero protocol
 //! errors, create two tenants over the wire and require their labelled
 //! series in `GET /metrics`, then stop the server with a real `Shutdown`
@@ -90,7 +91,8 @@ fn smoke(root: &Path, obs: bool) -> Result<(), String> {
     ));
     let graph = graph.to_string_lossy().into_owned();
 
-    // 1. Generate a small graph.
+    // 1. Generate a small graph, sparse enough to hold hundreds of
+    // components, so its count tells a right seed forest from a wrong one.
     let status = cli_cmd(root, obs)
         .args([
             "generate",
@@ -100,7 +102,7 @@ fn smoke(root: &Path, obs: bool) -> Result<(), String> {
             "--n",
             "2000",
             "--edge-factor",
-            "8",
+            "1",
             "--seed",
             "1",
         ])
@@ -145,7 +147,19 @@ fn smoke(root: &Path, obs: bool) -> Result<(), String> {
     }
     let (addr, scrape_addr) = (addr.unwrap(), scrape_addr.unwrap());
 
-    // 3. Drive a small mixed workload; the loadgen subcommand exits
+    // 3. Before any write, the server answers from its epoch-0 forest:
+    // its component count must be the offline solve's.
+    let expected = cc_components(root, obs, &graph)?;
+    let served = connect(&addr)?
+        .num_components()
+        .map_err(|e| format!("NumComponents: {e}"))?;
+    if served != expected {
+        return Err(format!(
+            "fresh server counts {served} components, afforest cc counts {expected}"
+        ));
+    }
+
+    // 4. Drive a small mixed workload; the loadgen subcommand exits
     // non-zero on any protocol error.
     let out = cli_cmd(root, obs)
         .args([
@@ -176,7 +190,7 @@ fn smoke(root: &Path, obs: bool) -> Result<(), String> {
         return Err(format!("loadgen reported errors:\n{text}"));
     }
 
-    // 4. Multi-tenancy over the wire: create two tenants, route traffic
+    // 5. Multi-tenancy over the wire: create two tenants, route traffic
     // through each via v2 envelopes, and require their labelled series in
     // the scrape.
     let mut admin = connect(&addr)?;
@@ -213,14 +227,30 @@ fn smoke(root: &Path, obs: bool) -> Result<(), String> {
         }
     }
 
-    // 5. Graceful shutdown via a real protocol frame; the server process
+    // 6. Graceful shutdown via a real protocol frame; the server process
     // must exit cleanly on its own.
     shutdown_and_reap(&addr, &mut server)?;
 
     let _ = std::fs::remove_file(&graph);
     println!(
-        "==> serve smoke{}: {addr} served 2000 mixed requests + 2 tenants, zero errors, clean shutdown",
+        "==> serve smoke{}: {addr} started at afforest cc's {expected} components, served 2000 mixed requests + 2 tenants, zero errors, clean shutdown",
         obs_tag(obs)
     );
     Ok(())
+}
+
+/// The component count `afforest cc` prints for `graph`.
+fn cc_components(root: &Path, obs: bool, graph: &str) -> Result<u64, String> {
+    let out = cli_cmd(root, obs)
+        .args(["cc", graph])
+        .output()
+        .map_err(|e| format!("spawn cc: {e}"))?;
+    let text = String::from_utf8_lossy(&out.stdout);
+    if !out.status.success() {
+        return Err(format!("cc failed ({}):\n{text}", out.status));
+    }
+    text.lines()
+        .find_map(|line| line.strip_prefix("components:"))
+        .and_then(|count| count.trim().parse().ok())
+        .ok_or_else(|| format!("cc printed no component count:\n{text}"))
 }
