@@ -688,16 +688,15 @@ pub mod serve {
         let path = args.positional(0, "graph")?;
         let g = load_graph(path)?;
         let n = g.num_vertices();
-        let edges = g.collect_edges();
-        drop(g);
         let plan = ShardPlan::new(n, shards);
-        let routed = plan.split_batch(&edges);
+        // Split straight from the CSR's arcs, so no edge list is built.
+        let routed = plan.split_batch(g.edges());
         let banner = format!(
             "serving {path} across {shards} shard(s): {n} vertices, {} edges ({} cut)",
-            edges.len(),
+            g.num_edges(),
             routed.cut.len()
         );
-        drop(edges);
+        drop(g);
         let cluster = afforest_shard::LocalCluster::new(&plan, &routed.per_shard, &config)
             .map_err(|e| format!("start shards: {e}"))?;
         let boundary = boundary_store(n, args.flag("wal-dir").map(Path::new))?;

@@ -13,8 +13,33 @@
 //!    remaining neighbors (`neighbor_rounds..degree`); edges incident to
 //!    the giant component are skipped, which is exact by Theorem 3.
 //! 5. **Final compress** — flatten to depth-one trees; `π` is the labeling.
+//!
+//! ## How each pass finds its vertices
+//!
+//! The passes walk 64-vertex blocks, one `u64` word per block and mask,
+//! visiting the set bits of a word lowest first. Round 0 reads every
+//! vertex's CSR offsets anyway; while it does, it writes two masks per
+//! block: "degree > 0" and "degree > `neighbor_rounds`" (with no neighbor
+//! rounds, a pass of its own writes them).
+//!
+//! - Rounds after the first and every compress sweep visit only the set
+//!   bits of "degree > 0". Skipping a zero-degree vertex is exact: it is
+//!   a singleton root that no link reaches (a link walks up from its two
+//!   endpoints), so it is never hooked, nothing is hooked under it, and
+//!   its compress is a no-op.
+//! - The final link visits only the set bits of "degree >
+//!   `neighbor_rounds`", the vertices with edges left. It reads their `π`
+//!   first, in a sweep of its own, into a third mask: the giant tree as
+//!   found, before any final link hooks more roots under it. It then
+//!   reads the offsets of, and links, only the vertices outside that
+//!   mask. The skip decisions, and so `RunStats` and the obs work
+//!   counters, do not depend on the schedule.
+//!
+//! The masks cost three words per 64 vertices. After the final compress
+//! `π` is the labeling, and its buffer becomes the label vector without a
+//! copy ([`ParentArray::into_vec`]).
 
-use crate::compress::compress_all;
+use crate::compress::compress;
 use crate::labels::ComponentLabels;
 use crate::link::link;
 use crate::parents::ParentArray;
@@ -260,8 +285,79 @@ pub fn afforest_with_stats(g: &CsrGraph, cfg: &AfforestConfig) -> (ComponentLabe
     run(g, cfg, true)
 }
 
+/// Vertices per mask word.
+const BLOCK: usize = 64;
+
+/// One 64-vertex block's masks: bit `i` stands for vertex `64 b + i`, and
+/// bits past the last vertex are clear.
+#[derive(Clone, Copy, Default)]
+struct Block {
+    /// Degree > 0: the only vertices a link can reach.
+    linked: u64,
+    /// Degree > `neighbor_rounds`: the only vertices with edges left for
+    /// the final link.
+    beyond: u64,
+    /// Vertices in the giant tree when it was found. Covers the `beyond`
+    /// vertices, and all of them when a counter reads.
+    giant: u64,
+}
+
+/// The most blocks one part of a block pass may hold: an eighth of them,
+/// and at least 4 (256 vertices). A block pass then splits as the
+/// per-vertex loop over the same vertices would, which the pool runs
+/// inline only up to 256 items.
+fn part_len(blocks: usize) -> usize {
+    (blocks / 8).max(4)
+}
+
+/// Calls `f(i, v)` for every set bit `i` of block `b`'s `word`, lowest
+/// first, with `v = 64 b + i`.
+#[inline]
+fn for_each_set(b: usize, word: u64, mut f: impl FnMut(u32, Node)) {
+    let base = (b * BLOCK) as Node;
+    let mut rest = word;
+    while rest != 0 {
+        let i = rest.trailing_zeros();
+        f(i, base + i);
+        rest &= rest - 1;
+    }
+}
+
+/// Reads block `b`'s degrees into its masks and calls `first(v, u)` for
+/// every vertex `v` of nonzero degree, `u` its first neighbor.
+#[inline]
+fn scan_block(g: &CsrGraph, b: usize, rounds: usize, mut first: impl FnMut(Node, Node)) -> Block {
+    let (offsets, targets) = (g.offsets(), g.targets());
+    let base = b * BLOCK;
+    let end = (base + BLOCK).min(g.num_vertices());
+    let (mut linked, mut beyond) = (0u64, 0u64);
+    for (i, w) in offsets[base..=end].windows(2).enumerate() {
+        let deg = w[1] - w[0];
+        linked |= u64::from(deg > 0) << i;
+        beyond |= u64::from(deg > rounds) << i;
+        if deg > 0 {
+            first((base + i) as Node, targets[w[0]]);
+        }
+    }
+    Block {
+        linked,
+        beyond,
+        giant: 0,
+    }
+}
+
+/// Compresses every vertex of nonzero degree.
+fn compress_blocks(blocks: &[Block], pi: &ParentArray) {
+    blocks
+        .par_iter()
+        .with_max_len(part_len(blocks.len()))
+        .enumerate()
+        .for_each(|(b, blk)| for_each_set(b, blk.linked, |_, v| compress(v, pi)));
+}
+
 fn run(g: &CsrGraph, cfg: &AfforestConfig, collect: bool) -> (ComponentLabels, RunStats) {
     let n = g.num_vertices();
+    let rounds = cfg.neighbor_rounds;
     let mut stats = RunStats::default();
     let record = |stats: &mut RunStats, phase: Phase, t: Instant| {
         if collect {
@@ -283,22 +379,57 @@ fn run(g: &CsrGraph, cfg: &AfforestConfig, collect: bool) -> (ComponentLabels, R
         return (ComponentLabels::from_vec(Vec::new()), stats);
     }
 
+    // The first neighbor round writes the masks; with none, this pass.
+    let mut blocks = vec![Block::default(); n.div_ceil(BLOCK)];
+    let cap = part_len(blocks.len());
+    if rounds == 0 {
+        blocks
+            .par_iter_mut()
+            .with_max_len(cap)
+            .enumerate()
+            .for_each(|(b, blk)| *blk = scan_block(g, b, 0, |_, _| {}));
+    }
+
     // Phase 2: neighbor rounds (Fig. 5 lines 2–9).
-    for round in 0..cfg.neighbor_rounds {
+    for round in 0..rounds {
         let t = Instant::now();
         let processed: usize = {
             let _span = afforest_obs::span!("{}", Phase::LinkRound(round));
-            (0..n as Node)
-                .into_par_iter()
-                .map(|v| {
-                    if round < g.degree(v) {
-                        link(v, g.neighbor(v, round), &pi);
-                        1
-                    } else {
-                        0
-                    }
-                })
-                .sum()
+            if round == 0 {
+                blocks
+                    .par_iter_mut()
+                    .with_max_len(cap)
+                    .enumerate()
+                    .for_each(|(b, blk)| {
+                        *blk = scan_block(g, b, rounds, |v, u| {
+                            link(v, u, &pi);
+                        })
+                    });
+                if collect {
+                    blocks
+                        .iter()
+                        .map(|blk| blk.linked.count_ones() as usize)
+                        .sum()
+                } else {
+                    0
+                }
+            } else {
+                blocks
+                    .par_iter()
+                    .with_max_len(cap)
+                    .enumerate()
+                    .map(|(b, blk)| {
+                        let mut linked = 0;
+                        for_each_set(b, blk.linked, |_, v| {
+                            if round < g.degree(v) {
+                                link(v, g.neighbor(v, round), &pi);
+                                linked += 1;
+                            }
+                        });
+                        linked
+                    })
+                    .sum()
+            }
         };
         record(&mut stats, Phase::LinkRound(round), t);
         if collect {
@@ -314,7 +445,7 @@ fn run(g: &CsrGraph, cfg: &AfforestConfig, collect: bool) -> (ComponentLabels, R
             let t = Instant::now();
             {
                 let _span = afforest_obs::span!("{}", Phase::Compress(round));
-                compress_all(&pi);
+                compress_blocks(&blocks, &pi);
             }
             record(&mut stats, Phase::Compress(round), t);
             debug_check_invariant!(pi, "Invariant 1 violated by compress after round {round}");
@@ -323,13 +454,13 @@ fn run(g: &CsrGraph, cfg: &AfforestConfig, collect: bool) -> (ComponentLabels, R
             stats.trees_after_round.push(pi.count_trees());
         }
     }
-    if !cfg.compress_each_round && cfg.neighbor_rounds > 0 {
+    if !cfg.compress_each_round && rounds > 0 {
         let t = Instant::now();
         {
-            let _span = afforest_obs::span!("{}", Phase::Compress(cfg.neighbor_rounds - 1));
-            compress_all(&pi);
+            let _span = afforest_obs::span!("{}", Phase::Compress(rounds - 1));
+            compress_blocks(&blocks, &pi);
         }
-        record(&mut stats, Phase::Compress(cfg.neighbor_rounds - 1), t);
+        record(&mut stats, Phase::Compress(rounds - 1), t);
         debug_check_invariant!(pi, "Invariant 1 violated by deferred compress");
     }
 
@@ -354,27 +485,63 @@ fn run(g: &CsrGraph, cfg: &AfforestConfig, collect: bool) -> (ComponentLabels, R
     let t = Instant::now();
     let (processed, skipped) = {
         let _span = afforest_obs::span!("{}", Phase::FinalLink);
-        (0..n as Node)
-            .into_par_iter()
-            .map(|v| {
-                if giant == Some(pi.get(v)) {
+        // Membership is read before anything links, so it is the tree as
+        // found: the links hook further roots under it. Giant vertices of
+        // degree ≤ `rounds` have no edges left; they are read only when a
+        // counter reads.
+        let count_all = collect || afforest_obs::COMPILED;
+        let skipped: usize = match giant {
+            Some(c) => blocks
+                .par_iter_mut()
+                .with_max_len(cap)
+                .enumerate()
+                .map(|(b, blk)| {
+                    let len = (n - b * BLOCK).min(BLOCK);
+                    let scope = if count_all {
+                        u64::MAX >> (BLOCK - len)
+                    } else {
+                        blk.beyond
+                    };
+                    // A local, not `blk.giant`: or-ing through the
+                    // reference per vertex cost web's final link 0.5 ms.
+                    let mut found = 0;
+                    for_each_set(b, scope, |i, v| {
+                        found |= u64::from(pi.get(v) == c) << i;
+                    });
+                    blk.giant = found;
                     if afforest_obs::COMPILED {
-                        let deg = g.degree(v);
-                        let remaining = deg - cfg.neighbor_rounds.min(deg);
-                        afforest_obs::count(afforest_obs::Counter::EdgesSkipped, remaining as u64);
-                        afforest_obs::count(afforest_obs::Counter::VerticesSkipped, 1);
+                        let mut edges = 0;
+                        for_each_set(b, blk.giant & blk.beyond, |_, v| {
+                            edges += g.degree(v) - rounds;
+                        });
+                        afforest_obs::count(afforest_obs::Counter::EdgesSkipped, edges as u64);
+                        afforest_obs::count(
+                            afforest_obs::Counter::VerticesSkipped,
+                            u64::from(blk.giant.count_ones()),
+                        );
                     }
-                    (0usize, 1usize)
-                } else {
+                    blk.giant.count_ones() as usize
+                })
+                .sum(),
+            None => 0,
+        };
+        let processed: usize = blocks
+            .par_iter()
+            .with_max_len(cap)
+            .enumerate()
+            .map(|(b, blk)| {
+                let mut processed = 0;
+                for_each_set(b, blk.beyond & !blk.giant, |_, v| {
                     let deg = g.degree(v);
-                    let start = cfg.neighbor_rounds.min(deg);
-                    for i in start..deg {
+                    for i in rounds..deg {
                         link(v, g.neighbor(v, i), &pi);
                     }
-                    (deg - start, 0)
-                }
+                    processed += deg - rounds;
+                });
+                processed
             })
-            .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+            .sum();
+        (processed, skipped)
     };
     record(&mut stats, Phase::FinalLink, t);
     if collect {
@@ -387,12 +554,12 @@ fn run(g: &CsrGraph, cfg: &AfforestConfig, collect: bool) -> (ComponentLabels, R
     let t = Instant::now();
     {
         let _span = afforest_obs::span!("{}", Phase::FinalCompress);
-        compress_all(&pi);
+        compress_blocks(&blocks, &pi);
     }
     record(&mut stats, Phase::FinalCompress, t);
 
     debug_check_invariant!(pi, "Invariant 1 violated");
-    (ComponentLabels::from_vec(pi.snapshot()), stats)
+    (ComponentLabels::from_vec(pi.into_vec()), stats)
 }
 
 #[cfg(test)]

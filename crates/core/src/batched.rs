@@ -115,7 +115,7 @@ pub fn afforest_batched(
     }
 
     compress_all(&pi);
-    (ComponentLabels::from_vec(pi.snapshot()), stats)
+    (ComponentLabels::from_vec(pi.into_vec()), stats)
 }
 
 #[cfg(test)]

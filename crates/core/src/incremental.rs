@@ -75,7 +75,7 @@ impl IncrementalCc {
     /// ```
     pub fn from_graph(g: &CsrGraph) -> Self {
         let labels = afforest(g, &AfforestConfig::default());
-        Self::over(ParentArray::from_snapshot(labels.as_slice()))
+        Self::over(ParentArray::from_vec(labels.into_vec()))
     }
 
     /// Overrides the auto-compression threshold (`None` disables it).
@@ -104,7 +104,7 @@ impl IncrementalCc {
                 parent: parents[v],
             });
         }
-        Ok(Self::over(ParentArray::from_snapshot(&parents)))
+        Ok(Self::over(ParentArray::from_vec(parents)))
     }
 
     /// Copies the current parent array (the WAL snapshot payload).
@@ -231,9 +231,11 @@ impl IncrementalCc {
         ComponentLabels::from_vec(self.pi.snapshot())
     }
 
-    /// Extracts the final labeling (compresses first).
+    /// Extracts the final labeling (compresses first), in the parent
+    /// array's own buffer.
     pub fn into_labels(mut self) -> ComponentLabels {
-        self.labels()
+        self.compress();
+        ComponentLabels::from_vec(self.pi.into_vec())
     }
 }
 

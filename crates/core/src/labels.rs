@@ -67,6 +67,11 @@ impl ComponentLabels {
         &self.labels
     }
 
+    /// Takes the raw label vector, without a copy.
+    pub fn into_vec(self) -> Vec<Node> {
+        self.labels
+    }
+
     /// Number of connected components.
     #[inline]
     pub fn num_components(&self) -> usize {

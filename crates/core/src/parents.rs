@@ -54,6 +54,30 @@ impl ParentArray {
         Self { slots }
     }
 
+    /// Takes `parents` as the array, in its own buffer: the inverse of
+    /// [`ParentArray::into_vec`]. Use [`ParentArray::from_snapshot`] to
+    /// copy a borrowed slice.
+    ///
+    /// ```
+    /// use afforest_core::ParentArray;
+    ///
+    /// let pi = ParentArray::from_vec(vec![0, 0, 2]);
+    /// assert_eq!(pi.count_trees(), 2);
+    /// assert_eq!(pi.into_vec(), vec![0, 0, 2]);
+    /// ```
+    pub fn from_vec(parents: Vec<Node>) -> Self {
+        assert!(
+            parents.len() <= u32::MAX as usize,
+            "vertex count exceeds Node range"
+        );
+        // `AtomicU32` has `u32`'s size and alignment, so this collect
+        // reuses the vector's allocation instead of copying it.
+        let slots: Vec<AtomicU32> = parents.into_iter().map(AtomicU32::new).collect();
+        Self {
+            slots: slots.into_boxed_slice(),
+        }
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn len(&self) -> usize {
@@ -146,6 +170,16 @@ impl ParentArray {
             .collect()
     }
 
+    /// Turns the array into a plain vector in its own buffer, without
+    /// [`ParentArray::snapshot`]'s copy.
+    pub fn into_vec(self) -> Vec<Node> {
+        self.slots
+            .into_vec()
+            .into_iter()
+            .map(AtomicU32::into_inner)
+            .collect()
+    }
+
     /// Verifies Invariant 1: `π(x) ≤ x` for every vertex.
     pub fn check_invariant(&self) -> bool {
         use rayon::prelude::*;
@@ -212,6 +246,18 @@ mod tests {
         let snap = pa.snapshot();
         let pb = ParentArray::from_snapshot(&snap);
         assert_eq!(pb.snapshot(), snap);
+    }
+
+    #[test]
+    fn vec_roundtrip_keeps_the_buffer() {
+        let parents: Vec<Node> = vec![0, 0, 1, 3, 3];
+        let at = parents.as_ptr() as usize;
+        let pa = ParentArray::from_vec(parents);
+        assert_eq!(pa.slots.as_ptr() as usize, at);
+        pa.set(4, 0);
+        let back = pa.into_vec();
+        assert_eq!(back.as_ptr() as usize, at);
+        assert_eq!(back, vec![0, 0, 1, 3, 0]);
     }
 
     #[test]

@@ -7,12 +7,13 @@
 
 #![cfg(feature = "obs")]
 
-use afforest_core::{afforest, AfforestConfig};
+use afforest_core::{afforest_with_stats, AfforestConfig};
 use afforest_graph::generators::uniform_random;
 
 /// With the `obs` feature on, one run must produce spans for every
 /// phase the paper names: each neighbor round, each compress sweep,
-/// the sampling step, and the skip (final-link) pass.
+/// the sampling step, and the skip (final-link) pass. Its work counters
+/// must equal the run's own `RunStats`.
 #[test]
 fn trace_covers_every_phase() {
     let g = uniform_random(2_000, 10_000, 5);
@@ -21,7 +22,7 @@ fn trace_covers_every_phase() {
         .build()
         .unwrap();
     let session = afforest_obs::Session::begin();
-    let labels = afforest(&g, &cfg);
+    let (labels, stats) = afforest_with_stats(&g, &cfg);
     let trace = session.end();
     assert!(labels.verify_against(&g));
 
@@ -43,10 +44,19 @@ fn trace_covers_every_phase() {
             trace.spans.iter().map(|s| &s.name).collect::<Vec<_>>()
         );
     }
-    // Work counters flowed into the trace from the hot paths.
-    assert!(trace.counter("link_calls") > 0);
-    assert!(trace.counter("edges_linked") > 0);
-    assert!(trace.counter("vertices_skipped") > 0);
+    // Work counters flowed into the trace from the hot paths, exactly:
+    // one link call per processed arc; one successful link per merge
+    // (Theorem 1); and every arc not processed was skipped, as one of a
+    // giant vertex's remaining neighbors.
+    let count = |name: &str| trace.counter(name) as usize;
+    assert!(stats.vertices_skipped > 0);
+    assert_eq!(count("link_calls"), stats.edges_processed);
+    assert_eq!(
+        count("edges_linked"),
+        g.num_vertices() - labels.num_components()
+    );
+    assert_eq!(count("vertices_skipped"), stats.vertices_skipped);
+    assert_eq!(count("edges_skipped"), g.num_arcs() - stats.edges_processed);
     // Phase spans account for (nearly) the whole session.
     assert!(trace.depth_total_ns(0) <= trace.total_ns);
     assert!(trace.depth_total_ns(0) > trace.total_ns / 2);

@@ -99,11 +99,12 @@ impl ShardPlan {
 
     /// Splits a batch of global-id edges into per-shard internal
     /// batches (local ids) and the global-id cut list. Every input
-    /// edge lands in exactly one output bucket.
-    pub fn split_batch(&self, edges: &[(Node, Node)]) -> RoutedEdges {
+    /// edge lands in exactly one output bucket. Takes any edge source,
+    /// so a graph's edges can be split without first collecting them.
+    pub fn split_batch(&self, edges: impl IntoIterator<Item = (Node, Node)>) -> RoutedEdges {
         let mut per_shard = vec![Vec::new(); self.num_shards()];
         let mut cut = Vec::new();
-        for &(u, v) in edges {
+        for (u, v) in edges {
             if self.is_cut(u, v) {
                 cut.push((u, v));
             } else {
@@ -143,7 +144,7 @@ mod tests {
     fn split_batch_buckets_every_edge_once() {
         let plan = ShardPlan::new(20, 4);
         let edges: Vec<(Node, Node)> = (0..19).map(|i| (i, i + 1)).collect();
-        let routed = plan.split_batch(&edges);
+        let routed = plan.split_batch(edges.iter().copied());
         let internal: usize = routed.per_shard.iter().map(Vec::len).sum();
         assert_eq!(internal + routed.cut.len(), edges.len());
         for (k, batch) in routed.per_shard.iter().enumerate() {

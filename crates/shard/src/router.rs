@@ -725,7 +725,7 @@ impl<B: ShardBackend> Router<B> {
         {
             return Response::Err(format!("edge ({u}, {v}) out of range for {n} vertices"));
         }
-        let routed = self.plan.split_batch(edges);
+        let routed = self.plan.split_batch(edges.iter().copied());
         let mut parked_any = false;
         for (k, batch) in routed.per_shard.into_iter().enumerate() {
             if batch.is_empty() {

@@ -27,7 +27,7 @@ const IDLE: Duration = Duration::from_millis(200);
 /// 4-5 inside the shards and the cut edge 1-4 between them.
 fn router() -> Router<LocalCluster> {
     let plan = ShardPlan::new(N, 2);
-    let routed = plan.split_batch(&[(0, 1), (4, 5), (1, 4)]);
+    let routed = plan.split_batch([(0, 1), (4, 5), (1, 4)]);
     let config = ServeConfig::builder().build().unwrap();
     let cluster = LocalCluster::new(&plan, &routed.per_shard, &config).unwrap();
     let boundary = BoundaryStore::new(N);

@@ -3,7 +3,8 @@
 //! Exercises the full binary surface end to end, the way a deployment
 //! would: generate a graph with the CLI, start `afforest serve` on an
 //! ephemeral loopback port with the metrics sidecar, require the fresh
-//! server's component count to equal `afforest cc`'s, drive a small mixed
+//! server's component count, and a fresh `serve --shards 2` router's, to
+//! equal `afforest cc`'s, drive a small mixed
 //! read/write workload with `afforest loadgen`, assert zero protocol
 //! errors, create two tenants over the wire and require their labelled
 //! series in `GET /metrics`, then stop the server with a real `Shutdown`
@@ -14,7 +15,7 @@ use afforest_serve::http::http_get;
 use afforest_serve::{Client, TenantId};
 use std::io::{BufRead, BufReader};
 use std::path::Path;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// Runs the smoke test; returns success. `obs` selects the instrumented
@@ -114,41 +115,22 @@ fn smoke(root: &Path, obs: bool) -> Result<(), String> {
 
     // 2. Start the server (wire + metrics sidecar, both ephemeral); parse
     // the announced addresses from its stdout.
-    let mut server = Reaper(
-        cli_cmd(root, obs)
-            .args([
-                "serve",
-                &graph,
-                "--addr",
-                "127.0.0.1:0",
-                "--workers",
-                "4",
-                "--metrics-addr",
-                "127.0.0.1:0",
-            ])
-            .stdout(Stdio::piped())
-            .spawn()
-            .map_err(|e| format!("spawn serve: {e}"))?,
-    );
-    let stdout = server.0.stdout.take().ok_or("serve stdout not captured")?;
-    let mut lines = BufReader::new(stdout).lines();
-    let mut addr = None;
-    let mut scrape_addr = None;
-    while addr.is_none() || scrape_addr.is_none() {
-        let line = lines
-            .next()
-            .ok_or("serve exited before announcing its addresses")?
-            .map_err(|e| format!("read serve stdout: {e}"))?;
-        if let Some(rest) = line.strip_prefix("listening on ") {
-            addr = rest.split_whitespace().next().map(str::to_string);
-        } else if let Some(rest) = line.strip_prefix("metrics on http://") {
-            scrape_addr = rest.strip_suffix("/metrics").map(str::to_string);
-        }
-    }
-    let (addr, scrape_addr) = (addr.unwrap(), scrape_addr.unwrap());
+    let mut server = Served::start(
+        root,
+        obs,
+        &[&graph, "--workers", "4", "--metrics-addr", "127.0.0.1:0"],
+    )?;
+    let addr = server.addr.clone();
+    let scrape_addr = server
+        .metrics
+        .clone()
+        .ok_or("serve announced no metrics address")?;
 
     // 3. Before any write, the server answers from its epoch-0 forest:
-    // its component count must be the offline solve's.
+    // its component count must be the offline solve's. So must a
+    // two-shard router's over the same graph, whose shards start from
+    // the graph's per-shard slices and whose boundary store starts from
+    // its cut edges.
     let expected = cc_components(root, obs, &graph)?;
     let served = connect(&addr)?
         .num_components()
@@ -158,6 +140,16 @@ fn smoke(root: &Path, obs: bool) -> Result<(), String> {
             "fresh server counts {served} components, afforest cc counts {expected}"
         ));
     }
+    let mut router = Served::start(root, obs, &[&graph, "--shards", "2"])?;
+    let routed = connect(&router.addr)?
+        .num_components()
+        .map_err(|e| format!("NumComponents (--shards 2): {e}"))?;
+    if routed != expected {
+        return Err(format!(
+            "fresh 2-shard router counts {routed} components, afforest cc counts {expected}"
+        ));
+    }
+    shutdown_and_reap(&router.addr, &mut router.process)?;
 
     // 4. Drive a small mixed workload; the loadgen subcommand exits
     // non-zero on any protocol error.
@@ -229,14 +221,65 @@ fn smoke(root: &Path, obs: bool) -> Result<(), String> {
 
     // 6. Graceful shutdown via a real protocol frame; the server process
     // must exit cleanly on its own.
-    shutdown_and_reap(&addr, &mut server)?;
+    shutdown_and_reap(&addr, &mut server.process)?;
 
     let _ = std::fs::remove_file(&graph);
     println!(
-        "==> serve smoke{}: {addr} started at afforest cc's {expected} components, served 2000 mixed requests + 2 tenants, zero errors, clean shutdown",
+        "==> serve smoke{}: {addr} and a 2-shard router started at afforest cc's {expected} components, served 2000 mixed requests + 2 tenants, zero errors, clean shutdown",
         obs_tag(obs)
     );
     Ok(())
+}
+
+/// A running `afforest serve` and the addresses it announced.
+struct Served {
+    process: Reaper,
+    /// Held open for the server's later prints.
+    _stdout: BufReader<ChildStdout>,
+    addr: String,
+    metrics: Option<String>,
+}
+
+impl Served {
+    /// Starts `afforest serve` with `args` on an ephemeral loopback port
+    /// and reads its wire address, and metrics address if it has one,
+    /// from its stdout.
+    fn start(root: &Path, obs: bool, args: &[&str]) -> Result<Served, String> {
+        let mut process = Reaper(
+            cli_cmd(root, obs)
+                .arg("serve")
+                .args(args)
+                .args(["--addr", "127.0.0.1:0"])
+                .stdout(Stdio::piped())
+                .spawn()
+                .map_err(|e| format!("spawn serve: {e}"))?,
+        );
+        let stdout = process.0.stdout.take().ok_or("serve stdout not captured")?;
+        let mut stdout = BufReader::new(stdout);
+        let mut metrics = None;
+        let mut line = String::new();
+        loop {
+            line.clear();
+            let read = stdout
+                .read_line(&mut line)
+                .map_err(|e| format!("read serve stdout: {e}"))?;
+            if read == 0 {
+                return Err("serve exited before announcing its address".into());
+            }
+            if let Some(rest) = line.trim_end().strip_prefix("listening on ") {
+                let addr = rest.split_whitespace().next().unwrap_or_default().into();
+                return Ok(Served {
+                    process,
+                    _stdout: stdout,
+                    addr,
+                    metrics,
+                });
+            }
+            if let Some(rest) = line.trim_end().strip_prefix("metrics on http://") {
+                metrics = rest.strip_suffix("/metrics").map(str::to_string);
+            }
+        }
+    }
 }
 
 /// The component count `afforest cc` prints for `graph`.
